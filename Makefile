@@ -36,23 +36,12 @@ bench-perf:
 	$(PYTHON) benchmarks/bench_perf.py
 
 # Overloaded multi-tenant serving run: must degrade cleanly
-# (throttle -> queue -> shed) under both schedulers, and fused batch
-# dispatch must be byte-identical to the sequential path.
-# (only the batch-* dispatch telemetry keys may differ)
+# (throttle -> queue -> shed) under both schedulers.
 SERVE_SMOKE = $(PYTHON) -m repro serve --tenants 6 \
 	--arrival-rate 2000 --queue-depth 2 --shed-watermark 2.0
 serve-smoke:
-	$(SERVE_SMOKE) --json | grep -v '"batch' > .serve-rr.json
-	$(SERVE_SMOKE) --batch-waves --json | \
-		grep -v '"batch' > .serve-rr-batched.json
-	diff .serve-rr.json .serve-rr-batched.json
-	$(SERVE_SMOKE) --scheduler drr --weights 2,1 --json | \
-		grep -v '"batch' > .serve-drr.json
-	$(SERVE_SMOKE) --scheduler drr --weights 2,1 --batch-waves \
-		--json | grep -v '"batch' > .serve-drr-batched.json
-	diff .serve-drr.json .serve-drr-batched.json
-	rm -f .serve-rr.json .serve-rr-batched.json \
-		.serve-drr.json .serve-drr-batched.json
+	$(SERVE_SMOKE) --json > /dev/null
+	$(SERVE_SMOKE) --scheduler drr --weights 2,1 --json > /dev/null
 
 # SLO-tracked serve run with live admission: the alert transcript
 # must be identical across two runs, and repro top must render it.

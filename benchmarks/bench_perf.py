@@ -289,89 +289,6 @@ def measure_serve(repeats: int, backend: str | None = None) -> dict:
     }
 
 
-#: The fused-batching bench cell: 8 ra tenants against 64MB -- 2x
-#: aggregate oversubscription over the 8x16MB tiny ra footprint -- under
-#: the drr scheduler, so every scheduler round is one 8-tenant group
-#: whose wave slots the session hands to the driver as fused batch
-#: dispatches.  ra at tiny scale is the fusion-friendly regime the
-#: tentpole targets: many small irregular waves whose per-wave Python
-#: overhead dominates the sequential driver loop.
-SERVE_FUSED_SCENARIO = dict(tenants=8, seed=1, arrival_rate=4000.0,
-                            workload_mix=("ra",), scale="tiny",
-                            capacity_mb=64, admit_watermark=2.0,
-                            shed_watermark=2.5, throttle_watermark=2.0,
-                            queue_depth=4, quantum=4, scheduler="drr")
-
-#: Equation-1 migration penalty for the fused bench cell.  The high
-#: penalty keeps the oversubscribed steady state in the remote-access
-#: regime (few migrating waves), which is the state the zero-migration
-#: prefix commit is built for -- migrating waves fall back to the
-#: sequential pipeline on both sides and would only add shared cost.
-SERVE_FUSED_PENALTY = 32
-
-
-def measure_serve_fused(repeats: int, backend: str | None = None) -> dict:
-    """Fused batch dispatch vs the sequential serve path, same plan.
-
-    Runs the fused bench cell with ``batch_waves`` on and off --
-    identical scheduler plan, identical simulated results (asserted) --
-    and reports host-wall throughput for both.  Measurements
-    interleave fused/sequential runs so both sides sample the same
-    background-load window, and each side takes its best-of; the
-    ``fused_speedup`` ratio is the tentpole's acceptance number.
-    ``fused_accesses_per_second`` is gated ``higher``.
-    """
-    import dataclasses as _dc
-
-    from repro.config import ServeConfig
-    from repro.serve import ServeSession
-
-    base = SimulationConfig(backend=backend) if backend else \
-        SimulationConfig()
-    sim = _dc.replace(base, policy=_dc.replace(
-        base.policy, migration_penalty=SERVE_FUSED_PENALTY))
-
-    def run_once(batch: bool):
-        cfg = ServeConfig(batch_waves=batch, **SERVE_FUSED_SCENARIO)
-        return ServeSession(cfg, sim_config=sim).run()
-
-    run_once(True)
-    run_once(False)  # warm-up both variants outside the timed region
-    fused_wall = seq_wall = float("inf")
-    fused_cpu = seq_cpu = float("inf")
-    fused = seq = None
-    for _ in range(repeats):
-        w0, c0 = time.perf_counter(), time.process_time()
-        fused = run_once(True)
-        fused_wall = min(fused_wall, time.perf_counter() - w0)
-        fused_cpu = min(fused_cpu, time.process_time() - c0)
-        w0, c0 = time.perf_counter(), time.process_time()
-        seq = run_once(False)
-        seq_wall = min(seq_wall, time.perf_counter() - w0)
-        seq_cpu = min(seq_cpu, time.process_time() - c0)
-    if (fused.total_accesses != seq.total_accesses
-            or fused.accesses_per_second != seq.accesses_per_second
-            or fused.p99_wave_latency_us != seq.p99_wave_latency_us):
-        raise RuntimeError("fused batching perturbed simulated results")
-    return {
-        "scenario": {k: list(v) if isinstance(v, tuple) else v
-                     for k, v in SERVE_FUSED_SCENARIO.items()},
-        "migration_penalty": SERVE_FUSED_PENALTY,
-        "simulated_accesses": fused.total_accesses,
-        "batches": fused.batches,
-        "batch_occupancy": round(fused.batch_occupancy, 2),
-        "fused_wall_seconds": round(fused_wall, 4),
-        "sequential_wall_seconds": round(seq_wall, 4),
-        "fused_cpu_seconds": round(fused_cpu, 4),
-        "sequential_cpu_seconds": round(seq_cpu, 4),
-        "fused_accesses_per_second": round(
-            fused.total_accesses / fused_wall, 1),
-        "sequential_accesses_per_second": round(
-            seq.total_accesses / seq_wall, 1),
-        "fused_speedup": round(seq_wall / fused_wall, 3),
-    }
-
-
 def measure_telemetry(repeats: int, backend: str | None = None) -> dict:
     """Host-side cost of live telemetry on the serve bench scenario.
 
@@ -449,7 +366,6 @@ def run(scale: str, repeats: int, jobs: int,
         "batched_vs_scalar": measure_batched_vs_scalar(scale, repeats),
         "fast_path": measure_fast_path(repeats, backend=backend),
         "serve": measure_serve(repeats, backend=backend),
-        "serve_fused": measure_serve_fused(repeats, backend=backend),
         "telemetry": measure_telemetry(repeats, backend=backend),
     }
     return report
@@ -526,13 +442,6 @@ def main(argv=None) -> int:
           f"shed rate {sv['shed_rate']:.2f}); "
           f"p99 wave latency {sv['p99_wave_latency_us']:.1f}us, "
           f"wall {sv['wall_seconds']:.3f}s")
-    sf = report["serve_fused"]
-    print(f"serve fused batching: {sf['fused_speedup']:.2f}x over the "
-          f"sequential path ({sf['fused_wall_seconds']:.3f}s vs "
-          f"{sf['sequential_wall_seconds']:.3f}s wall; "
-          f"{sf['batches']} batches, "
-          f"occupancy {sf['batch_occupancy']:.1f} waves/dispatch, "
-          f"{sf['fused_accesses_per_second']:,.0f} accesses/s)")
     tl = report["telemetry"]
     print(f"telemetry: {tl['overhead_pct']:+.2f}% wall overhead with the "
           f"full live stack attached ({tl['telemetry_wall_seconds']:.3f}s "

@@ -33,15 +33,12 @@ import numpy as np
 
 from . import jit, kernels
 from ._compat import HAS_NUMBA, NUMBA_VERSION
-from .sharding import ShardPlan, make_shard_plan
 
 __all__ = [
     "Backend",
     "HAS_NUMBA",
     "NUMBA_VERSION",
     "FORCE_INTERPRETED",
-    "ShardPlan",
-    "make_shard_plan",
     "resolve_backend",
     "warm_jit",
 ]
@@ -130,12 +127,7 @@ def warm_jit() -> None:
     jit.remote_counts(migrate, ones, ones, ones)
     jit.group_sorted(i64, ones, ones)
     jit.resident_all(bools, np.zeros(1, dtype=np.int64))
-    starts = np.array([0, 1], dtype=np.int64)
-    jit.segment_sums(ones, starts)
-    jit.segment_all(bools, starts)
-    jit.segment_any(bools, starts)
     jit.scatter_add(np.zeros(2, dtype=np.int64), i64, ones)
-    jit.scatter_add_unique(np.zeros(2, dtype=np.int64), i64, ones)
     jit.increment(np.zeros(2, dtype=np.int64), i64)
     jit.fill_zero(np.zeros(2, dtype=np.int64), i64)
     jit.halve_while_ge(np.zeros(2, dtype=np.int64), i64, np.int64(4))

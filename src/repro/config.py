@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -366,10 +367,6 @@ class SimulationConfig:
     #: :mod:`repro.accel`, falling back to python with a warning when
     #: numba is not installed).  Defaults to ``$REPRO_BACKEND``.
     backend: str = field(default_factory=default_backend)
-    #: Contiguous chunk-aligned shards the per-wave decision phase is
-    #: partitioned into (1 = unsharded).  Results are bit-identical for
-    #: any shard count; see :mod:`repro.accel.sharding`.
-    shards: int = 1
 
     def replace(self, **kwargs) -> "SimulationConfig":
         """Return a copy with top-level fields replaced."""
@@ -408,8 +405,6 @@ class SimulationConfig:
             errors.append(
                 f"backend: unknown backend {self.backend!r}; choose from "
                 f"{KNOWN_BACKENDS} (set via --backend or REPRO_BACKEND)")
-        if self.shards < 1:
-            errors.append(f"shards: must be >= 1, got {self.shards}")
         if errors:
             raise ValueError(
                 "invalid SimulationConfig:\n  - " + "\n  - ".join(errors))
@@ -542,10 +537,6 @@ class ServeConfig:
     #: runs ``floor(deficit)`` waves; throttling decays the weight by
     #: ``throttle_decay`` instead of suspending the stream).
     scheduler: str = "round_robin"
-    #: Fuse each scheduler sub-round's waves (one per distinct tenant)
-    #: into a single segmented driver dispatch.  A pure perf hint like
-    #: ``--shards``: results are bit-identical either way.
-    batch_waves: bool = False
     #: Configured per-tenant shares for the ``drr`` scheduler; tenant
     #: ``i`` gets ``weights[i % len(weights)]``.  Empty: every tenant
     #: weighs 1.0.  Ignored by ``round_robin``.
@@ -562,6 +553,16 @@ class ServeConfig:
     def validate(self) -> "ServeConfig":
         """Check field and cross-field invariants; returns ``self``."""
         errors: list[str] = []
+        # NaN slips through every ordered comparison below, and an
+        # infinite rate, window or weight stalls or crashes the run
+        # loop, so finiteness is checked up front.
+        for name in _SERVE_FLOAT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                errors.append(f"{name} must be finite, got {value!r}")
+        if not all(math.isfinite(w) for w in self.weights):
+            errors.append(f"weights must all be finite, got "
+                          f"{self.weights!r}")
         if self.arrival_rate <= 0.0:
             errors.append(f"arrival_rate must be positive, got "
                           f"{self.arrival_rate!r}")
@@ -635,6 +636,15 @@ class ServeConfig:
         d["workload_mix"] = list(self.workload_mix)
         d["weights"] = list(self.weights)
         return d
+
+
+#: Scalar float fields of :class:`ServeConfig` that must be finite
+#: (``duration_ms`` may also be ``None``).
+_SERVE_FLOAT_FIELDS: tuple[str, ...] = (
+    "arrival_rate", "duration_ms", "burst_factor", "burst_len_ms",
+    "calm_len_ms", "admit_watermark", "shed_watermark",
+    "throttle_watermark", "live_thrash_threshold", "window_ms",
+    "throttle_decay")
 
 
 def capacity_for_oversubscription(footprint_bytes: int, oversubscription: float = 1.0) -> int:

@@ -55,8 +55,6 @@ class RunMeta(Event):
     #: Active hot-loop kernel backend (``repro.accel``); defaulted so
     #: logs archived before the field existed keep replaying.
     backend: str = "python"
-    #: Address-space shard count the decision phase ran over.
-    shards: int = 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -243,13 +241,11 @@ class TenantSched(Event):
     """A completing tenant's fair-scheduler accounting (``repro serve``).
 
     Emitted alongside :class:`TenantComplete` when the serve session
-    runs a non-default scheduler or wave batching (never on the default
-    round-robin path, whose event stream stays byte-identical to the
-    pre-scheduler serving layer).  ``weight`` is the tenant's configured
-    fair share and ``deficit`` the fractional wave credit carried at
-    completion (DRR invariant: always in ``[0, 1)``); ``batched_waves``
-    counts the tenant's waves that ran inside fused multi-tenant batch
-    dispatches rather than lone ``process_wave`` calls.
+    runs a non-default scheduler (never on the default round-robin
+    path, whose event stream stays byte-identical to the pre-scheduler
+    serving layer).  ``weight`` is the tenant's configured fair share
+    and ``deficit`` the fractional wave credit carried at completion
+    (DRR invariant: always in ``[0, 1)``).
     """
 
     kind = "tenant_sched"
@@ -259,7 +255,6 @@ class TenantSched(Event):
     weight: float
     deficit: float
     waves: int
-    batched_waves: int
 
 
 @dataclass(frozen=True, slots=True)

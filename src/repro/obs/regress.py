@@ -42,15 +42,6 @@ GATED_METRICS: dict[str, str] = {
     "serve.accesses_per_second": "higher",
     "serve.p99_wave_latency_us": "lower",
     "serve.shed_rate": "lower",
-    # Fused multi-tenant batch dispatch on the 8-tenant ra cell: host
-    # throughput of the batched serve path.  Wall-derived, but like
-    # telemetry.overhead_pct the companion ``fused_speedup`` ratio is
-    # measured interleaved against the sequential path on the same box,
-    # so gating throughput here catches fused-path-specific rot while
-    # the tolerance absorbs host drift.  Absent from pre-batching
-    # history entries, so those skip cleanly.
-    "serve_fused.fused_accesses_per_second": "higher",
-    "serve_fused.fused_speedup": "higher",
     # Wall-clock tax of the live telemetry stack on the serve scenario.
     # The one deliberate wall-time gate: overhead is a *ratio* of two
     # walls measured back to back on the same box, so host noise mostly

@@ -6,13 +6,7 @@ round's *groups*: an ordered list where each group is an ordered list
 of ``(tenant, waves)`` entries over distinct tenants.  Groups execute
 in order; a multi-tenant group executes wave-slot-major (slot ``k``
 runs one wave for every tenant whose allowance exceeds ``k``, in entry
-order).  That slot structure is what makes a group *batchable*: each
-slot's waves come from distinct tenants with disjoint block namespaces,
-so with ``serve.batch_waves`` the session hands the whole slot to
-:meth:`repro.uvm.driver.UvmDriver.process_wave_batch` as one fused
-dispatch.  Batching never changes results -- the executor runs the
-same plan either way, and the driver's batch path is bit-identical to
-sequential waves by contract.
+order).
 
 Two schedulers ship:
 
@@ -105,8 +99,7 @@ class DeficitRoundRobinScheduler(WaveScheduler):
     credit, which bounds short-term unfairness by one wave per round.
 
     The whole round is one group, so execution interleaves tenants one
-    wave at a time (slot-major) -- exactly the shape the fused batch
-    dispatch wants.
+    wave at a time (slot-major).
     """
 
     name = "drr"

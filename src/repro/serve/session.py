@@ -13,10 +13,7 @@ then drives the run loop on the simulated clock:
   scheduler (:mod:`repro.serve.scheduler`): ``round_robin`` gives each
   runnable tenant ``quantum`` contiguous waves per round (the legacy
   reference path), ``drr`` interleaves tenants one wave at a time under
-  deficit-weighted fair queuing.  With ``batch_waves`` each multi-tenant
-  scheduler slot executes as one fused
-  :meth:`~repro.uvm.driver.UvmDriver.process_wave_batch` dispatch -- a
-  pure perf hint: outcomes are bit-identical to sequential execution;
+  deficit-weighted fair queuing;
 * graceful degradation engages in watermark escalation order: at the
   throttle watermark the heaviest-thrashing tenant's stream is
   suspended for ``throttle_rounds`` rounds (the paper's Section VIII
@@ -114,8 +111,6 @@ class TenantRecord:
     #: Fractional DRR wave credit carried at end of run (always in
     #: ``[0, 1)``; 0.0 under round robin).
     deficit: float = 0.0
-    #: Waves executed inside fused multi-tenant batch dispatches.
-    batched_waves: int = 0
 
     def as_dict(self) -> dict:
         """Flat JSON-safe encoding."""
@@ -161,10 +156,6 @@ class ServeResult:
     alerts_fired: int = 0
     #: Active wave scheduler (``serve.scheduler``).
     scheduler: str = "round_robin"
-    #: Fused multi-tenant driver dispatches issued (0 without
-    #: ``batch_waves``) and the mean waves fused per dispatch.
-    batches: int = 0
-    batch_occupancy: float = 0.0
 
     def as_dict(self) -> dict:
         """Flat JSON-safe encoding (archived / printed by the CLI)."""
@@ -181,7 +172,7 @@ class _Tenant:
     __slots__ = ("id", "workload_name", "arrival_us", "blocks",
                  "footprint_mb", "chunk_ids", "workload", "stream",
                  "admitted_us", "queued_us", "shed_reason", "complete_us",
-                 "waves", "batched_waves", "accesses", "latency",
+                 "waves", "accesses", "latency",
                  "throttle_left", "throttled_rounds", "throttle_events",
                  "freed_blocks", "writeback_blocks")
 
@@ -204,7 +195,6 @@ class _Tenant:
         self.shed_reason = ""
         self.complete_us: float | None = None
         self.waves = 0
-        self.batched_waves = 0
         self.accesses = 0
         self.latency = Histogram()
         self.throttle_left = 0
@@ -317,8 +307,7 @@ class ServeSession:
             allocations=tuple(
                 (a.name, a.first_block, a.first_block + a.num_blocks)
                 for a in vas.allocations),
-            backend=driver.backend_name,
-            shards=driver.shards))
+            backend=driver.backend_name))
         self._pcie = PcieModel(self.sim_config.interconnect,
                                self.sim_config.gpu)
         self._timing = TimingModel(self.sim_config, self._pcie)
@@ -328,9 +317,6 @@ class ServeSession:
             cfg.shed_watermark, cfg.queue_depth)
         self._live: list[_Tenant] = []
         self._scheduler = make_scheduler(cfg)
-        self._batch = cfg.batch_waves
-        self._batches = 0
-        self._batched_waves = 0
         self._latency = Histogram()
         self._completed = 0
         self._throttle_events = 0
@@ -433,13 +419,11 @@ class ServeSession:
             if len(group) == 1:
                 # Singleton groups run the contiguous quantum loop --
                 # the round-robin plan replays the legacy serve path
-                # (and its output) exactly, batched or not.
+                # (and its output) exactly.
                 tenant, n = group[0]
                 if (tenant.complete_us is None
                         and self._scheduler.runnable(tenant)):
                     now = self._run_quantum(tenant, n, now)
-            elif self._batch:
-                now = self._run_group_batched(group, now)
             else:
                 now = self._run_group(group, now)
         for tenant in self._live:
@@ -453,21 +437,6 @@ class ServeSession:
                 now, self._controller.oversubscription, self._live,
                 self._driver.attribution.thrash_migrations)
         self._maybe_throttle(now)
-        return now
-
-    def _observe_wave(self, tenant: _Tenant, outcome, compute_cycles,
-                      now: float) -> float:
-        """Charge one executed wave to the clocks and histograms."""
-        wave_us = (self._timing.wave_total_cycles(outcome, compute_cycles)
-                   / self._clock_mhz)
-        now += wave_us
-        tenant.waves += 1
-        tenant.accesses += outcome.n_accesses
-        tenant.latency.observe(wave_us)
-        self._latency.observe(wave_us)
-        if self._telemetry is not None:
-            self._telemetry.on_wave(tenant.id, now, wave_us,
-                                    outcome.n_accesses)
         return now
 
     def _run_quantum(self, tenant: _Tenant, n: int, now: float) -> float:
@@ -523,63 +492,6 @@ class ServeSession:
                         or not scheduler.runnable(tenant)):
                     continue
                 now = self._run_quantum(tenant, 1, now)
-        return now
-
-    def _run_group_batched(self, group, now: float) -> float:
-        """Execute a multi-tenant group as fused batch dispatches.
-
-        Each wave slot gathers one pending wave per still-running tenant
-        and hands the whole set to
-        :meth:`~repro.uvm.driver.UvmDriver.process_wave_batch` as one
-        driver dispatch; per-wave bookkeeping then replays in the same
-        order sequential execution would have used.  A drained stream
-        flushes the slot's batch *before* the completion runs, because
-        completion mutates global state (releases chunks, drains the
-        admission queue) that later waves in the batch must not see
-        early.  Results are bit-identical to :meth:`_run_group` -- the
-        driver's batch path guarantees it per wave, and the bookkeeping
-        order here matches by construction.
-        """
-        scheduler = self._scheduler
-        maxn = max(n for _, n in group)
-        for slot in range(maxn):
-            batch: list[tuple[_Tenant, object]] = []
-            for tenant, n in group:
-                if (n <= slot or tenant.complete_us is not None
-                        or not scheduler.runnable(tenant)):
-                    continue
-                wave = next(tenant.stream, None)
-                if wave is None:
-                    # Flush first: the completion below must observe
-                    # exactly the post-batch driver state.
-                    now = self._dispatch(batch, now)
-                    batch = []
-                    now = self._complete(tenant, now)
-                    continue
-                batch.append((tenant, wave))
-            now = self._dispatch(batch, now)
-        return now
-
-    def _dispatch(self, batch, now: float) -> float:
-        """Run one gathered slot through the fused driver entry point."""
-        if not batch:
-            return now
-        driver = self._driver
-        tl = self._tl
-        if tl is not None:
-            tl.begin("batch", tid=TID_SERVE,
-                     args={"span": "batch", "waves": len(batch)})
-        outcomes = driver.process_wave_batch(
-            [(w.pages, w.is_write, w.counts) for _, w in batch],
-            tenants=[t.id for t, _ in batch])
-        if tl is not None:
-            tl.end("batch", tid=TID_SERVE)
-        self._batches += 1
-        self._batched_waves += len(batch)
-        for (tenant, wave), outcome in zip(batch, outcomes):
-            tenant.batched_waves += 1
-            now = self._observe_wave(tenant, outcome,
-                                     wave.compute_cycles, now)
         return now
 
     def _maybe_throttle(self, now: float) -> None:
@@ -652,7 +564,7 @@ class ServeSession:
             thrash_migrations=attribution.thrash_of(tenant.id),
             cross_evictions=int(attribution.cross_evictions[tenant.id])))
         cfg = self.config
-        if cfg.scheduler != "round_robin" or cfg.batch_waves:
+        if cfg.scheduler != "round_robin":
             # Scheduler accounting rides along only off the default
             # path, keeping the legacy round-robin event stream
             # byte-identical to the pre-scheduler serving layer.
@@ -660,8 +572,7 @@ class ServeSession:
                 tenant=tenant.id, at_us=now,
                 weight=self._scheduler.weight_of(tenant.id),
                 deficit=self._scheduler.deficit_of(tenant.id),
-                waves=tenant.waves,
-                batched_waves=tenant.batched_waves))
+                waves=tenant.waves))
         # Freed footprint drains the queue FIFO.
         while self._admit_from_queue(now):
             pass
@@ -696,8 +607,7 @@ class ServeSession:
                 freed_blocks=t.freed_blocks,
                 writeback_blocks=t.writeback_blocks,
                 weight=scheduler.weight_of(t.id),
-                deficit=scheduler.deficit_of(t.id),
-                batched_waves=t.batched_waves))
+                deficit=scheduler.deficit_of(t.id)))
         total_waves = sum(t.waves for t in self._tenants)
         total_accesses = sum(t.accesses for t in self._tenants)
         shed_rate = controller.sheds / len(self._tenants)
@@ -738,10 +648,7 @@ class ServeSession:
             scenario=self.scenario,
             slo_violations=slo_violations,
             alerts_fired=alerts_fired,
-            scheduler=scheduler.name,
-            batches=self._batches,
-            batch_occupancy=(self._batched_waves / self._batches
-                             if self._batches else 0.0))
+            scheduler=scheduler.name)
         obs = self.obs
         if obs is not None and obs.metrics is not None:
             m = obs.metrics
@@ -755,8 +662,4 @@ class ServeSession:
             m.counter("serve.sheds").inc(controller.sheds)
             m.counter("serve.throttle_events").inc(self._throttle_events)
             m.counter("serve.waves").inc(total_waves)
-            if self._batches:
-                m.counter("serve.batches").inc(self._batches)
-                m.gauge("serve.batch_occupancy").set(
-                    self._batched_waves / self._batches)
         return result

@@ -1,9 +1,8 @@
-"""Backend and sharding equivalence: this tentpole's contracts.
+"""Backend equivalence: the compiled backend's contract.
 
-The compiled backend (``SimulationConfig.backend``) and decision-phase
-sharding (``SimulationConfig.shards``) are pure performance rewrites:
-swapping kernel namespaces or shard counts must be undetectable in
-per-wave outcomes and final driver state.  These properties pin both,
+The compiled backend (``SimulationConfig.backend``) is a pure
+performance rewrite: swapping kernel namespaces must be undetectable in
+per-wave outcomes and final driver state.  These properties pin it,
 mirroring ``test_fastpath_equivalence.py`` for the fast-path rewrite.
 
 The ``numba`` backend is exercised through its interpreted fallback
@@ -53,11 +52,11 @@ def traffic(draw):
 
 
 def _make_driver(backend: str, policy: MigrationPolicy,
-                 capacity_mb: float, *, shards: int = 1,
+                 capacity_mb: float, *,
                  replacement: ReplacementPolicy | None = None,
                  fault_rates: tuple[float, float] | None = None,
                  fast_path: bool = True) -> UvmDriver:
-    cfg = (SimulationConfig(backend=backend, shards=shards)
+    cfg = (SimulationConfig(backend=backend)
            .with_policy(policy, static_threshold=8, migration_penalty=8)
            .with_device_capacity(int(capacity_mb * MB)))
     if replacement is not None:
@@ -101,8 +100,8 @@ def _run_pair(a: UvmDriver, b: UvmDriver, seed: int, n_waves: int,
 
 
 def _normalized(result) -> dict:
-    """Run result minus config (backend/shards are perf hints, and the
-    configs of a compared pair intentionally differ in them)."""
+    """Run result minus config (the backend is a perf hint, and the
+    configs of a compared pair intentionally differ in it)."""
     enc = encode_result(result)
     enc.pop("config")
     return enc
@@ -170,34 +169,3 @@ def test_numba_backend_reports_active_name():
     drv = _make_driver("numba", MigrationPolicy.ADAPTIVE, 64)
     assert drv.accel.requested == "numba"
     assert drv.backend_name == "numba"  # FORCE_INTERPRETED resolves it
-
-
-# ---------------------------------------------------------------------------
-# shard-count invariance (--shards 1 ≡ --shards N)
-# ---------------------------------------------------------------------------
-
-@given(policies, traffic(), st.sampled_from([2, 4, 7]))
-@settings(max_examples=25, deadline=None)
-def test_shard_count_invariant_driver_level(policy, t, n_shards):
-    seed, n_waves, wave_size, capacity_mb = t
-    _run_pair(_make_driver("python", policy, capacity_mb, shards=1),
-              _make_driver("python", policy, capacity_mb, shards=n_shards),
-              seed, n_waves, wave_size)
-
-
-@pytest.mark.parametrize("name", ALL_WORKLOADS)
-def test_shard_count_invariant_every_workload(name):
-    results = {}
-    for shards in (1, 4):
-        cfg = SimulationConfig(seed=5, shards=shards).with_policy(
-            MigrationPolicy.ADAPTIVE)
-        results[shards] = Simulator(cfg).run(
-            make_workload(name, "tiny"), oversubscription=1.25)
-    assert _normalized(results[4]) == _normalized(results[1])
-
-
-def test_sharding_composes_with_numba_backend():
-    _run_pair(
-        _make_driver("python", MigrationPolicy.ADAPTIVE, 6, shards=1),
-        _make_driver("numba", MigrationPolicy.ADAPTIVE, 6, shards=4),
-        seed=29, n_waves=12, wave_size=200)

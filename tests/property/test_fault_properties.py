@@ -11,6 +11,7 @@ Two contracts from the fault-model design notes are pinned here:
 """
 
 import dataclasses
+import json
 
 import pytest
 
@@ -128,6 +129,14 @@ class TestResumeTransparency:
         with CheckpointJournal(path) as journal:
             for cell, result in zip(self.CELLS, baseline):
                 journal.append(cell, result)
+        # Every other line as written while cells carried ``shards=4``:
+        # the count sat in the result's config and is ignored on load.
+        lines = path.read_text().splitlines()
+        for i in range(0, len(lines), 2):
+            record = json.loads(lines[i])
+            record["result"]["config"]["shards"] = 4
+            lines[i] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
 
         from repro.analysis import parallel
 

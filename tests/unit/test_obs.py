@@ -72,7 +72,7 @@ class TestEvents:
                            p99_wave_latency_us=410.0,
                            thrash_migrations=3, cross_evictions=7),
             TenantSched(tenant=0, at_us=99.0, weight=2.0, deficit=0.25,
-                        waves=64, batched_waves=48),
+                        waves=64),
             TelemetryWindow(tenant=0, start_us=0.0, window_us=5000.0,
                             waves=8, accesses=4096, mean_latency_us=88.0,
                             max_latency_us=410.0, bad_waves=1,
@@ -96,6 +96,12 @@ class TestEvents:
         row = _decision().as_dict()
         row["extra_field_from_the_future"] = 42
         assert from_dict(row) == _decision()
+        # Fields that older writers emitted and the schema since
+        # dropped decode the same way (TenantSched.batched_waves).
+        sched = TenantSched(tenant=0, at_us=99.0, weight=2.0,
+                            deficit=0.25, waves=64)
+        row = {**sched.as_dict(), "batched_waves": 48}
+        assert from_dict(row) == sched
 
     def test_from_dict_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown event"):

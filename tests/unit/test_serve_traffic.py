@@ -1,5 +1,7 @@
 """Unit tests for the open-loop arrival-trace generator."""
 
+import math
+
 import pytest
 
 from repro.config import ServeConfig
@@ -69,3 +71,24 @@ class TestGenerateArrivals:
             generate_arrivals(cfg(arrival_rate=0.0))
         with pytest.raises(ValueError):
             generate_arrivals(cfg(process="sawtooth"))
+
+
+#: Every float field of ``ServeConfig`` (``weights`` entries included).
+_FLOAT_FIELDS = ("arrival_rate", "duration_ms", "burst_factor",
+                 "burst_len_ms", "calm_len_ms", "admit_watermark",
+                 "shed_watermark", "throttle_watermark",
+                 "live_thrash_threshold", "window_ms", "throttle_decay",
+                 "weights")
+
+
+class TestServeConfigValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", _FLOAT_FIELDS)
+    def test_non_finite_floats_rejected(self, field, bad):
+        """NaN hangs the run loop (arrival times never compare <= now)
+        and non-finite DRR weights crash the scheduler, so validation
+        refuses them up front."""
+        value = (1.0, bad) if field == "weights" else bad
+        with pytest.raises(ValueError, match="finite"):
+            cfg(scheduler="drr", **{field: value}).validate()
