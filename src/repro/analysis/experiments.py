@@ -15,17 +15,12 @@ NO_OVERSUB < 1) so allocations fit with slack, as on a real device.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
-from ..config import (EvictionGranularity, MigrationPolicy, PrefetcherKind,
-                      SimulationConfig)
+from ..config import MigrationPolicy, SimulationConfig
 from ..sim.results import RunResult
-from ..sim.simulator import Simulator
-from ..trace.replay import TraceWorkload
-from ..workloads import make_workload
 from . import paper_data
-from .parallel import GridCell, GridOptions, run_grid
+from .parallel import GridCell, GridOptions, run_cell, run_grid
 from .tables import comparison_table, format_table
 
 #: Capacity factor used for "no oversubscription" runs (20% headroom).
@@ -101,75 +96,16 @@ class SeriesResult:
 
 
 def run_single(workload: str, policy: MigrationPolicy,
-               oversubscription: float, scale: str = "small",
-               ts: int = 8, p: int = 8, seed: int = 0,
-               collect_histogram: bool = False,
-               collect_trace: bool = False,
-               transfer_fault_rate: float = 0.0,
-               migration_fault_rate: float = 0.0,
-               fault_retries: int = 3,
-               fault_burst_on: float = 0.0,
-               fault_burst_off: float = 0.25,
-               fault_burst_mult: float = 8.0,
-               evict: str = "2mb",
-               prefetcher: str = "tree",
-               prefetch_degree: int = 4,
-               threshold_variant: str = "multiplicative",
-               historic_counters: bool = True,
-               trace_path: str | None = None,
-               backend: str | None = None) -> RunResult:
+               oversubscription: float, scale: str = GridCell.scale,
+               **knobs) -> RunResult:
     """Run one (workload, policy, oversubscription) cell.
 
-    ``trace_path`` replays a recorded trace of the same
-    ``(workload, scale, seed)`` stream instead of regenerating it --
-    bit-identical results, but the (often dominant) wave-generation cost
-    is paid once at record time instead of per cell.
-
-    ``backend`` selects the hot-loop kernel backend (:mod:`repro.accel`);
-    ``None`` inherits the config default (which honours
-    ``REPRO_BACKEND``).  A pure performance knob with bit-identical
-    results.
-
-    The remaining knobs cover the rest of the Table I surface --
-    eviction granularity, prefetcher strategy, threshold growth
-    function, historic-counter ablation, and correlated fault storms --
-    so the scenario compiler (:mod:`repro.scenario`) can express every
-    regime as a grid cell.  Each one mutates the config only when it
-    differs from its dataclass default, keeping the constructed config
-    (and thus every result) bit-identical to the narrower historical
-    signature for unchanged arguments.
+    ``knobs`` are the remaining :class:`GridCell` fields (``seed``,
+    ``ts``, ``p``, ``trace_path``, ``backend``, ...), each defaulting
+    to the config value it sets.
     """
-    cfg = SimulationConfig(seed=seed,
-                           collect_page_histogram=collect_histogram,
-                           collect_access_trace=collect_trace)
-    if backend is not None:
-        cfg = cfg.replace(backend=backend)
-    cfg = cfg.with_policy(policy, static_threshold=ts, migration_penalty=p)
-    if threshold_variant != "multiplicative" or not historic_counters:
-        cfg = cfg.replace(policy=dataclasses.replace(
-            cfg.policy, threshold_variant=threshold_variant,
-            historic_counters=historic_counters))
-    if evict != "2mb":
-        cfg = cfg.with_eviction_granularity(
-            EvictionGranularity.BLOCK_64KB if evict == "64kb"
-            else EvictionGranularity(evict))
-    if prefetcher != "tree" or prefetch_degree != 4:
-        cfg = cfg.with_prefetcher(PrefetcherKind(prefetcher),
-                                  degree=prefetch_degree)
-    if transfer_fault_rate or migration_fault_rate:
-        fault_kwargs = dict(transfer_fault_rate=transfer_fault_rate,
-                            migration_fault_rate=migration_fault_rate,
-                            max_retries=fault_retries)
-        if fault_burst_on:
-            fault_kwargs.update(burst_on_prob=fault_burst_on,
-                                burst_off_prob=fault_burst_off,
-                                burst_multiplier=fault_burst_mult)
-        cfg = cfg.with_faults(**fault_kwargs)
-    if trace_path is not None:
-        wl: "object" = TraceWorkload(trace_path)
-    else:
-        wl = make_workload(workload, scale)
-    return Simulator(cfg).run(wl, oversubscription=oversubscription)
+    return run_cell(GridCell(workload, policy, oversubscription, scale,
+                             **knobs))
 
 
 def _workloads(subset=None) -> tuple[str, ...]:

@@ -45,8 +45,13 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
-from ..config import MigrationPolicy
+from ..config import (EvictionGranularity, FaultConfig, MemoryConfig,
+                      MigrationPolicy, PolicyConfig, PrefetcherKind,
+                      SimulationConfig)
 from ..sim.results import RunResult
+from ..sim.simulator import Simulator
+from ..trace.replay import TraceWorkload
+from ..workloads import make_workload
 
 #: Broken-pool incarnations tolerated before degrading to serial.
 _MAX_POOL_REBUILDS = 2
@@ -55,37 +60,49 @@ _MAX_POOL_REBUILDS = 2
 _MAX_BACKOFF_S = 10.0
 
 
+#: ``GridCell.evict`` names of the Table-I eviction granularities.
+EVICT_GRANULARITIES = {"2mb": EvictionGranularity.CHUNK_2MB,
+                       "64kb": EvictionGranularity.BLOCK_64KB}
+
+
 @dataclass(frozen=True)
 class GridCell:
-    """One independent experiment: a ``run_single`` argument bundle."""
+    """One independent experiment: a workload plus its Table-I knobs.
+
+    Every knob defaults to the config dataclass field it sets, so the
+    CLI flags, the scenario schema and the grid all read their defaults
+    from one place; :meth:`sim_config` is the one route from knobs to a
+    :class:`~repro.config.SimulationConfig`.
+    """
 
     workload: str
-    policy: MigrationPolicy
-    oversubscription: float
+    policy: MigrationPolicy = PolicyConfig.policy
+    #: The paper's main evaluation level (125% oversubscription).
+    oversubscription: float = 1.25
     scale: str = "small"
-    ts: int = 8
-    p: int = 8
-    seed: int = 0
-    collect_histogram: bool = False
-    collect_trace: bool = False
+    ts: int = PolicyConfig.static_threshold
+    p: int = PolicyConfig.migration_penalty
+    seed: int = SimulationConfig.seed
+    collect_histogram: bool = SimulationConfig.collect_page_histogram
+    collect_trace: bool = SimulationConfig.collect_access_trace
     #: Injected transient-fault rates (see :mod:`repro.uvm.faults`).
-    transfer_fault_rate: float = 0.0
-    migration_fault_rate: float = 0.0
-    fault_retries: int = 3
+    transfer_fault_rate: float = FaultConfig.transfer_fault_rate
+    migration_fault_rate: float = FaultConfig.migration_fault_rate
+    fault_retries: int = FaultConfig.max_retries
     #: Correlated fault-storm chain (Markov burst modulation of the
     #: fault rates); 0.0 ``fault_burst_on`` disables the chain.
-    fault_burst_on: float = 0.0
-    fault_burst_off: float = 0.25
-    fault_burst_mult: float = 8.0
-    #: Eviction granularity (``2mb`` or ``64kb``, Table I).
+    fault_burst_on: float = FaultConfig.burst_on_prob
+    fault_burst_off: float = FaultConfig.burst_off_prob
+    fault_burst_mult: float = FaultConfig.burst_multiplier
+    #: Eviction granularity by name (a key of :data:`EVICT_GRANULARITIES`).
     evict: str = "2mb"
     #: Prefetcher strategy and degree (Table I: tree-based default).
-    prefetcher: str = "tree"
-    prefetch_degree: int = 4
+    prefetcher: str = MemoryConfig.prefetcher.value
+    prefetch_degree: int = MemoryConfig.prefetch_degree
     #: Equation-1 growth function and the historic-counter ablation
     #: (see :class:`repro.config.PolicyConfig`).
-    threshold_variant: str = "multiplicative"
-    historic_counters: bool = True
+    threshold_variant: str = PolicyConfig.threshold_variant
+    historic_counters: bool = PolicyConfig.historic_counters
     #: Replay the access stream from this recorded trace (an ``.npz``
     #: file or mmap-able trace directory) instead of regenerating it.
     #: A pure performance hint: replay is bit-identical to live
@@ -99,6 +116,37 @@ class GridCell:
     #: performance hint with bit-identical results, excluded from the
     #: cell's checkpoint identity.
     backend: str | None = None
+
+    def sim_config(self) -> SimulationConfig:
+        """The :class:`~repro.config.SimulationConfig` this cell runs.
+
+        Fault fields are only set when a fault rate is nonzero, and the
+        burst fields only when ``fault_burst_on`` is, so knobs that
+        cannot change the simulation never reach the config (and so
+        never change an archived config or run id).
+        """
+        cfg = SimulationConfig(seed=self.seed,
+                               collect_page_histogram=self.collect_histogram,
+                               collect_access_trace=self.collect_trace)
+        if self.backend is not None:
+            cfg = cfg.replace(backend=self.backend)
+        cfg = cfg.with_policy(self.policy, static_threshold=self.ts,
+                              migration_penalty=self.p,
+                              threshold_variant=self.threshold_variant,
+                              historic_counters=self.historic_counters)
+        cfg = cfg.with_eviction_granularity(EVICT_GRANULARITIES[self.evict])
+        cfg = cfg.with_prefetcher(PrefetcherKind(self.prefetcher),
+                                  degree=self.prefetch_degree)
+        if self.transfer_fault_rate or self.migration_fault_rate:
+            faults = dict(transfer_fault_rate=self.transfer_fault_rate,
+                          migration_fault_rate=self.migration_fault_rate,
+                          max_retries=self.fault_retries)
+            if self.fault_burst_on:
+                faults.update(burst_on_prob=self.fault_burst_on,
+                              burst_off_prob=self.fault_burst_off,
+                              burst_multiplier=self.fault_burst_mult)
+            cfg = cfg.with_faults(**faults)
+        return cfg
 
 
 @dataclass(frozen=True)
@@ -223,25 +271,12 @@ class GridExecutionError(RuntimeError):
 
 def run_cell(cell: GridCell) -> RunResult:
     """Run one grid cell (the worker entry point; must stay picklable)."""
-    # Imported here so a forked/spawned worker pays the import once and
-    # the module import graph stays cycle-free (experiments imports us).
-    from .experiments import run_single
-    return run_single(cell.workload, cell.policy, cell.oversubscription,
-                      cell.scale, ts=cell.ts, p=cell.p, seed=cell.seed,
-                      collect_histogram=cell.collect_histogram,
-                      collect_trace=cell.collect_trace,
-                      transfer_fault_rate=cell.transfer_fault_rate,
-                      migration_fault_rate=cell.migration_fault_rate,
-                      fault_retries=cell.fault_retries,
-                      fault_burst_on=cell.fault_burst_on,
-                      fault_burst_off=cell.fault_burst_off,
-                      fault_burst_mult=cell.fault_burst_mult,
-                      evict=cell.evict, prefetcher=cell.prefetcher,
-                      prefetch_degree=cell.prefetch_degree,
-                      threshold_variant=cell.threshold_variant,
-                      historic_counters=cell.historic_counters,
-                      trace_path=cell.trace_path,
-                      backend=cell.backend)
+    if cell.trace_path is not None:
+        wl = TraceWorkload(cell.trace_path)
+    else:
+        wl = make_workload(cell.workload, cell.scale)
+    return Simulator(cell.sim_config()).run(
+        wl, oversubscription=cell.oversubscription)
 
 
 def default_jobs() -> int:

@@ -62,13 +62,15 @@ are off by default and cost nothing when off.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import analysis
+from .analysis.parallel import EVICT_GRANULARITIES, GridCell
 from .config import (
-    EvictionGranularity,
     MigrationPolicy,
     PrefetcherKind,
+    ServeConfig,
     SimulationConfig,
 )
 from .analysis.tables import format_table
@@ -76,47 +78,29 @@ from .sim.simulator import Simulator
 from .workloads import SCALES, make_workload, workload_names
 
 
-def _apply_backend(cfg: SimulationConfig, args) -> SimulationConfig:
-    """Fold the ``--backend`` flag into ``cfg``.
+#: GridCell fields; the sim flags' dests are named after them.
+_CELL_FIELD_NAMES = frozenset(f.name for f in dataclasses.fields(GridCell))
 
-    It defaults to ``None`` meaning *inherit*: the config's own
-    defaults already honour the ``REPRO_BACKEND`` environment variable,
-    so only an explicit flag overrides.
+
+def _build_config(args, **overrides) -> SimulationConfig:
+    """The config the sim flags (plus ``overrides``) describe.
+
+    The flags go straight to :meth:`GridCell.sim_config`, the builder
+    the grid and the scenario compiler use, so a flag run and the
+    equivalent scenario or grid cell simulate the same config.
     """
-    backend = getattr(args, "backend", None)
-    if backend is not None:
-        cfg = cfg.replace(backend=backend)
-    return cfg
-
-
-def _build_config(args) -> SimulationConfig:
-    cfg = SimulationConfig(
-        seed=args.seed,
-        collect_page_histogram=getattr(args, "histogram", False),
-        debug_invariants=getattr(args, "debug_invariants", False),
-    )
-    cfg = _apply_backend(cfg, args)
-    cfg = cfg.with_policy(MigrationPolicy(args.policy),
-                          static_threshold=args.ts,
-                          migration_penalty=args.penalty)
-    if getattr(args, "evict", "2mb") == "64kb":
-        cfg = cfg.with_eviction_granularity(EvictionGranularity.BLOCK_64KB)
-    if getattr(args, "prefetcher", "tree") != "tree":
-        cfg = cfg.with_prefetcher(PrefetcherKind(args.prefetcher),
-                                  degree=args.prefetch_degree)
-    if getattr(args, "fault_rate", 0.0) or getattr(args,
-                                                   "migration_fault_rate",
-                                                   0.0):
-        try:
-            cfg = cfg.with_faults(
-                transfer_fault_rate=args.fault_rate,
-                migration_fault_rate=args.migration_fault_rate,
-                max_retries=args.fault_retries,
-                burst_on_prob=getattr(args, "fault_burst_on", 0.0),
-                burst_off_prob=getattr(args, "fault_burst_off", 0.25),
-                burst_multiplier=getattr(args, "fault_burst_mult", 8.0))
-        except ValueError as exc:
-            raise SystemExit(f"repro: {exc}") from None
+    knobs = {k: v for k, v in vars(args).items() if k in _CELL_FIELD_NAMES}
+    knobs.update(overrides)
+    # ``trace replay`` and ``serve`` name no workload; the config does
+    # not depend on it.
+    knobs.setdefault("workload", None)
+    knobs["policy"] = MigrationPolicy(knobs["policy"])
+    try:
+        cfg = GridCell(**knobs).sim_config()
+    except ValueError as exc:
+        raise SystemExit(f"repro: {exc}") from None
+    if args.debug_invariants:
+        cfg = cfg.replace(debug_invariants=True)
     return cfg
 
 
@@ -315,30 +299,27 @@ def _cmd_run_config(args) -> int:
         # compact output); the detailed single-run report below only
         # makes sense for one simulation.
         return _run_scenario_batch(args, [scenario], "run")
-    from .scenario import ScenarioError, build_sim_config
-    from .scenario.schema import flatten
+    from .scenario import ScenarioError, build_cell, build_sim_config
     try:
+        cell = build_cell(scenario)
         cfg = build_sim_config(scenario)
     except (ScenarioError, ValueError) as exc:
         raise SystemExit(f"repro run: {exc}") from None
     # CLI-only observability overlays compose with any config.
-    if getattr(args, "histogram", False):
+    if args.collect_histogram:
         cfg = cfg.replace(collect_page_histogram=True)
-    if getattr(args, "debug_invariants", False):
+    if args.debug_invariants:
         cfg = cfg.replace(debug_invariants=True)
-    flat = flatten(scenario)
-    scale = flat.get("scale") or "small"
-    oversub = float(flat["oversubscription"]
-                    if flat.get("oversubscription") is not None else 1.25)
-    wl = _make_workload(flat["workload"], scale)
+    wl = _make_workload(cell.workload, cell.scale)
     obs = _make_obs(args)
     archive = _begin_archive(args, cfg, wl.name, obs, scenario=scenario,
-                             scale=scale, oversub=oversub)
-    result = Simulator(cfg).run(wl, oversubscription=oversub, obs=obs)
+                             scale=cell.scale, oversub=cell.oversubscription)
+    result = Simulator(cfg).run(wl, oversubscription=cell.oversubscription,
+                                obs=obs)
     _print_summary(result)
     _finish_obs(obs, args)
     _finish_archive(archive, result, obs)
-    if args.histogram:
+    if args.collect_histogram:
         _print_histogram(result)
     return 0
 
@@ -360,7 +341,7 @@ def cmd_run(args) -> int:
     _print_summary(result)
     _finish_obs(obs, args)
     _finish_archive(archive, result, obs)
-    if args.histogram:
+    if args.collect_histogram:
         _print_histogram(result)
     return 0
 
@@ -379,9 +360,7 @@ def _print_histogram(result) -> None:
 def cmd_compare(args) -> int:
     results = {}
     for pol in MigrationPolicy:
-        cfg = _apply_backend(SimulationConfig(seed=args.seed), args)
-        cfg = cfg.with_policy(
-            pol, static_threshold=args.ts, migration_penalty=args.penalty)
+        cfg = _build_config(args, policy=pol)
         wl = _make_workload(args.workload, args.scale)
         results[pol] = Simulator(cfg).run(wl, oversubscription=args.oversub)
     base = results[MigrationPolicy.DISABLED]
@@ -651,23 +630,50 @@ def _parse_weights(spec):
     return weights
 
 
+#: ServeConfig fields whose ``repro serve`` flag has another dest.
+_SERVE_DESTS = {"duration_ms": "duration", "burst_len_ms": "burst_len",
+                "calm_len_ms": "calm_len", "workload_mix": "mix"}
+
+#: The serve flags a ``--config`` run overlays onto its scenario.
+_LIVE_FLAGS = ("live_admission", "live_thrash_threshold", "window_ms",
+               "scheduler", "weights", "throttle_decay")
+
+
+def _serve_flags(args, names) -> dict:
+    """``{ServeConfig field: value}`` for the flags among ``names``.
+
+    A flag's default is its field's default, or ``None`` for the ones a
+    ``--config`` run overlays; a ``None`` flag is left out, so the
+    field keeps its default.
+    """
+    values = {}
+    for name in names:
+        value = getattr(args, _SERVE_DESTS.get(name, name))
+        if value is None:
+            continue
+        if name == "weights":
+            value = _parse_weights(value)
+        elif name == "workload_mix":
+            value = _parse_mix(value)
+        values[name] = value
+    return values
+
+
+def _parse_mix(spec) -> tuple[str, ...]:
+    """Parse a ``--mix`` comma list, rejecting unknown workloads."""
+    mix = tuple(w.strip() for w in spec.split(",") if w.strip())
+    known = workload_names(extended=True)
+    for name in mix:
+        if name not in known:
+            raise SystemExit(f"repro serve: unknown workload {name!r} in "
+                             f"--mix; available: {', '.join(known)}")
+    return mix
+
+
 def _apply_live_flags(args, serve_cfg):
     """Overlay explicitly-passed serve flags onto a scenario config
     (``--live-admission`` / ``--window-ms`` / scheduler family)."""
-    import dataclasses
-    updates = {}
-    if getattr(args, "live_admission", False):
-        updates["live_admission"] = True
-    if getattr(args, "live_thrash_threshold", None) is not None:
-        updates["live_thrash_threshold"] = args.live_thrash_threshold
-    if getattr(args, "window_ms", None) is not None:
-        updates["window_ms"] = args.window_ms
-    if getattr(args, "scheduler", None) is not None:
-        updates["scheduler"] = args.scheduler
-    if getattr(args, "weights", None) is not None:
-        updates["weights"] = _parse_weights(args.weights)
-    if getattr(args, "throttle_decay", None) is not None:
-        updates["throttle_decay"] = args.throttle_decay
+    updates = _serve_flags(args, _LIVE_FLAGS)
     if not updates:
         return serve_cfg
     return dataclasses.replace(serve_cfg, **updates).validate()
@@ -725,42 +731,13 @@ def _cmd_serve_config(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from .config import ServeConfig
     from .serve import ServeSession
     if args.config:
         return _cmd_serve_config(args)
     sim_cfg = _build_config(args)
-    mix = tuple(w.strip() for w in args.mix.split(",") if w.strip())
-    known = workload_names(extended=True)
-    for name in mix:
-        if name not in known:
-            raise SystemExit(f"repro serve: unknown workload {name!r} in "
-                             f"--mix; available: {', '.join(known)}")
+    fields = [f.name for f in dataclasses.fields(ServeConfig)]
     try:
-        serve_cfg = ServeConfig(
-            arrival_rate=args.arrival_rate, tenants=args.tenants,
-            duration_ms=args.duration, process=args.process,
-            burst_factor=args.burst_factor, burst_len_ms=args.burst_len,
-            calm_len_ms=args.calm_len, workload_mix=mix, scale=args.scale,
-            capacity_mb=args.capacity_mb,
-            admit_watermark=args.admit_watermark,
-            shed_watermark=args.shed_watermark,
-            throttle_watermark=args.throttle_watermark,
-            queue_depth=args.queue_depth, quantum=args.quantum,
-            throttle_rounds=args.throttle_rounds,
-            live_admission=args.live_admission,
-            live_thrash_threshold=(args.live_thrash_threshold
-                                   if args.live_thrash_threshold is not None
-                                   else 0.25),
-            window_ms=(args.window_ms if args.window_ms is not None
-                       else 5.0),
-            scheduler=(args.scheduler if args.scheduler is not None
-                       else "round_robin"),
-            weights=(_parse_weights(args.weights)
-                     if args.weights is not None else ()),
-            throttle_decay=(args.throttle_decay
-                            if args.throttle_decay is not None else 0.25),
-            seed=args.seed).validate()
+        serve_cfg = ServeConfig(**_serve_flags(args, fields)).validate()
     except ValueError as exc:
         raise SystemExit(f"repro serve: {exc}") from None
     slo = _load_slo_config(args)
@@ -925,45 +902,52 @@ def _workload_arg(name: str) -> str:
 
 
 def _add_sim_args(p, with_oversub=True) -> None:
-    p.add_argument("--policy", default="adaptive",
+    """Table-I flags; each dest and default is the GridCell field's."""
+    p.add_argument("--policy", default=GridCell.policy.value,
                    choices=[m.value for m in MigrationPolicy])
-    p.add_argument("--ts", type=int, default=8,
+    p.add_argument("--ts", type=int, default=GridCell.ts,
                    help="static access counter threshold")
-    p.add_argument("--penalty", type=int, default=8,
+    p.add_argument("--penalty", dest="p", type=int, default=GridCell.p,
+                   metavar="PENALTY",
                    help="multiplicative migration penalty p")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--evict", choices=("2mb", "64kb"), default="2mb",
-                   help="eviction granularity")
-    p.add_argument("--prefetcher", default="tree",
+    p.add_argument("--seed", type=int, default=GridCell.seed)
+    p.add_argument("--evict", choices=tuple(EVICT_GRANULARITIES),
+                   default=GridCell.evict, help="eviction granularity")
+    p.add_argument("--prefetcher", default=GridCell.prefetcher,
                    choices=[k.value for k in PrefetcherKind])
-    p.add_argument("--prefetch-degree", type=int, default=4)
-    p.add_argument("--fault-rate", type=float, default=0.0,
+    p.add_argument("--prefetch-degree", type=int,
+                   default=GridCell.prefetch_degree)
+    p.add_argument("--fault-rate", dest="transfer_fault_rate", type=float,
+                   default=GridCell.transfer_fault_rate, metavar="FAULT_RATE",
                    help="probability of an injected transient PCIe "
                         "transfer fault per migration attempt")
-    p.add_argument("--migration-fault-rate", type=float, default=0.0,
+    p.add_argument("--migration-fault-rate", type=float,
+                   default=GridCell.migration_fault_rate,
                    help="probability of an injected device allocation "
                         "fault per migration attempt")
-    p.add_argument("--fault-retries", type=int, default=3,
+    p.add_argument("--fault-retries", type=int,
+                   default=GridCell.fault_retries,
                    help="driver retries before degrading a faulted "
                         "migration to remote zero-copy access")
-    p.add_argument("--fault-burst-on", type=float, default=0.0,
-                   metavar="PROB",
+    p.add_argument("--fault-burst-on", type=float,
+                   default=GridCell.fault_burst_on, metavar="PROB",
                    help="per-migration probability of entering a "
                         "correlated fault storm that multiplies both "
                         "fault rates (0 = uncorrelated faults only)")
-    p.add_argument("--fault-burst-off", type=float, default=0.25,
-                   metavar="PROB",
+    p.add_argument("--fault-burst-off", type=float,
+                   default=GridCell.fault_burst_off, metavar="PROB",
                    help="per-migration probability of a fault storm "
                         "ending")
-    p.add_argument("--fault-burst-mult", type=float, default=8.0,
-                   metavar="X",
+    p.add_argument("--fault-burst-mult", type=float,
+                   default=GridCell.fault_burst_mult, metavar="X",
                    help="fault-rate multiplier while a storm is active")
     p.add_argument("--debug-invariants", action="store_true",
                    help="check residency/capacity accounting after "
                         "every wave (slow; for debugging)")
     _add_backend_args(p)
     if with_oversub:
-        p.add_argument("--oversub", type=float, default=1.25,
+        p.add_argument("--oversub", type=float,
+                       default=GridCell.oversubscription,
                        help="working set as a fraction of device memory "
                             "(1.25 = 125%% oversubscription)")
 
@@ -1062,8 +1046,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run a declarative scenario config instead of "
                         "flags (see docs/scenarios.md; flags other than "
                         "the observability ones are ignored)")
-    p.add_argument("--scale", default="small", choices=SCALES)
-    p.add_argument("--histogram", action="store_true",
+    p.add_argument("--scale", default=GridCell.scale, choices=SCALES)
+    p.add_argument("--histogram", dest="collect_histogram",
+                   action="store_true",
                    help="collect per-allocation access histograms")
     _add_sim_args(p)
     _add_obs_args(p)
@@ -1072,13 +1057,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="all four policies on one workload")
     p.add_argument("workload", type=_workload_arg,
                    help="workload name (see `repro list`)")
-    p.add_argument("--scale", default="small", choices=SCALES)
+    p.add_argument("--scale", default=GridCell.scale, choices=SCALES)
     _add_sim_args(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("figure", help="regenerate a paper table/figure")
     p.add_argument("id", choices=sorted(_FIGURES) + ["all"])
-    p.add_argument("--scale", default="small", choices=SCALES)
+    p.add_argument("--scale", default=GridCell.scale, choices=SCALES)
     p.add_argument("--jobs", type=_jobs_arg, default=1,
                    help="worker processes for the experiment grid "
                         "(0 = one per CPU, 1 = serial)")
@@ -1101,7 +1086,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(files starting with '_' are inheritance "
                         "bases and are skipped); all grid cells share "
                         "one worker pool")
-    p.add_argument("--scale", default="small", choices=SCALES)
+    p.add_argument("--scale", default=GridCell.scale, choices=SCALES)
     p.add_argument("--levels",
                    default=",".join(str(l) for l in analysis.DEFAULT_LEVELS),
                    help="comma-separated oversubscription levels")
@@ -1111,7 +1096,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep injected transient-fault rates instead of "
                         "oversubscription levels (comma-separated; uses "
                         "the first --policies entry)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=GridCell.seed)
     p.add_argument("--jobs", type=_jobs_arg, default=1,
                    help="worker processes for the sweep grid "
                         "(0 = one per CPU, 1 = serial)")
@@ -1123,8 +1108,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr = tsub.add_parser("record")
     pr.add_argument("workload", type=_workload_arg,
                     help="workload name (see `repro list`)")
-    pr.add_argument("--scale", default="small", choices=SCALES)
-    pr.add_argument("--seed", type=int, default=0)
+    pr.add_argument("--scale", default=GridCell.scale, choices=SCALES)
+    pr.add_argument("--seed", type=int, default=GridCell.seed)
     pr.add_argument("-o", "--output", required=True)
     pr.set_defaults(func=cmd_trace)
     pp = tsub.add_parser("replay")
@@ -1138,46 +1123,54 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, metavar="YAML",
                    help="run a mode: serve scenario config instead of "
                         "flags (see docs/scenarios.md)")
-    p.add_argument("--arrival-rate", type=float, default=400.0,
-                   metavar="PER_S",
+    p.add_argument("--arrival-rate", type=float,
+                   default=ServeConfig.arrival_rate, metavar="PER_S",
                    help="tenant arrivals per second of simulated time "
                         "(open loop: arrivals never wait for service)")
-    p.add_argument("--tenants", type=int, default=12,
+    p.add_argument("--tenants", type=int, default=ServeConfig.tenants,
                    help="number of tenant arrivals to generate")
-    p.add_argument("--duration", type=float, default=None, metavar="MS",
+    p.add_argument("--duration", type=float,
+                   default=ServeConfig.duration_ms, metavar="MS",
                    help="arrival window in simulated milliseconds "
                         "(default: cut by --tenants alone)")
-    p.add_argument("--process", default="poisson",
+    p.add_argument("--process", default=ServeConfig.process,
                    choices=KNOWN_ARRIVAL_PROCESSES,
                    help="arrival process (bursty = Markov-modulated "
                         "Poisson with calm/burst sojourns)")
-    p.add_argument("--burst-factor", type=float, default=8.0,
+    p.add_argument("--burst-factor", type=float,
+                   default=ServeConfig.burst_factor,
                    help="arrival-rate multiplier inside a burst "
                         "(bursty process only)")
-    p.add_argument("--burst-len", type=float, default=2.0, metavar="MS",
+    p.add_argument("--burst-len", type=float,
+                   default=ServeConfig.burst_len_ms, metavar="MS",
                    help="mean burst-state sojourn in simulated ms")
-    p.add_argument("--calm-len", type=float, default=10.0, metavar="MS",
+    p.add_argument("--calm-len", type=float,
+                   default=ServeConfig.calm_len_ms, metavar="MS",
                    help="mean calm-state sojourn in simulated ms")
-    p.add_argument("--mix", default="ra,sssp,bfs,fdtd",
+    p.add_argument("--mix", default=",".join(ServeConfig.workload_mix),
                    help="comma-separated workloads tenants are drawn "
                         "from (seeded uniform choice)")
-    p.add_argument("--scale", default="tiny", choices=SCALES)
-    p.add_argument("--capacity-mb", type=int, default=32,
+    p.add_argument("--scale", default=ServeConfig.scale, choices=SCALES)
+    p.add_argument("--capacity-mb", type=int, default=ServeConfig.capacity_mb,
                    help="shared device memory capacity in MB")
-    p.add_argument("--admit-watermark", type=float, default=1.5,
+    p.add_argument("--admit-watermark", type=float,
+                   default=ServeConfig.admit_watermark,
                    help="projected live oversubscription up to which "
                         "arrivals are admitted immediately")
-    p.add_argument("--shed-watermark", type=float, default=2.5,
+    p.add_argument("--shed-watermark", type=float,
+                   default=ServeConfig.shed_watermark,
                    help="projected oversubscription past which an "
                         "arrival is shed outright")
-    p.add_argument("--throttle-watermark", type=float, default=1.2,
+    p.add_argument("--throttle-watermark", type=float,
+                   default=ServeConfig.throttle_watermark,
                    help="live oversubscription at which the heaviest-"
                         "thrashing tenant's stream is suspended")
-    p.add_argument("--queue-depth", type=int, default=8,
+    p.add_argument("--queue-depth", type=int, default=ServeConfig.queue_depth,
                    help="bounded admission queue depth (full = shed)")
-    p.add_argument("--quantum", type=int, default=4,
+    p.add_argument("--quantum", type=int, default=ServeConfig.quantum,
                    help="waves per runnable tenant per scheduler round")
-    p.add_argument("--throttle-rounds", type=int, default=8,
+    p.add_argument("--throttle-rounds", type=int,
+                   default=ServeConfig.throttle_rounds,
                    help="scheduler rounds a throttled tenant sits out")
     p.add_argument("--scheduler", default=None,
                    choices=KNOWN_SCHEDULERS,
@@ -1192,7 +1185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--throttle-decay", type=float, default=None,
                    metavar="FACTOR",
                    help="drr weight multiplier while a tenant is "
-                        "throttled (default 0.25)")
+                        f"throttled (default {ServeConfig.throttle_decay})")
     p.add_argument("--json", action="store_true",
                    help="print the full serve result as JSON")
     p.add_argument("--slo-config", default=None, metavar="YAML",
@@ -1200,7 +1193,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "p99_latency_us, max_shed_rate, min_throughput, "
                         "...); enables the streaming SLO engine and "
                         "alerting (overrides a scenario's slo: section)")
-    p.add_argument("--live-admission", action="store_true",
+    p.add_argument("--live-admission", action="store_true", default=None,
                    help="let the degradation ladder consume live "
                         "windowed interference telemetry (EWMA thrash "
                         "pressure) instead of cumulative attribution "
@@ -1210,10 +1203,10 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="RATE",
                    help="EWMA thrash migrations per wave at which "
                         "--live-admission engages the throttle "
-                        "(default 0.25)")
+                        f"(default {ServeConfig.live_thrash_threshold})")
     p.add_argument("--window-ms", type=float, default=None,
                    help="tumbling telemetry window width in simulated "
-                        "milliseconds (default 5.0)")
+                        f"milliseconds (default {ServeConfig.window_ms})")
     _add_sim_args(p, with_oversub=False)
     _add_obs_args(p)
     p.set_defaults(func=cmd_serve)

@@ -9,18 +9,22 @@ functions then map a single variant onto the existing execution
 surfaces:
 
 * :func:`build_cell` -> :class:`~repro.analysis.parallel.GridCell`
-  (modes ``run`` and ``sweep``), with field values matching the CLI
-  defaults exactly so a config-built cell is *equal* to the flag-built
-  one -- the bit-identity contract the property tests pin;
+  (modes ``run`` and ``sweep``);
+* :func:`build_sim_config` -> :class:`~repro.config.SimulationConfig`
+  through :meth:`GridCell.sim_config`, the one builder the CLI flags
+  and the grid use too;
 * :func:`build_serve_config` -> :class:`~repro.config.ServeConfig`
   (mode ``serve``);
 * :func:`build_multigpu_spec` -> :class:`MultiGpuSpec` (mode
   ``multigpu``), including the Section VIII throttle knob.
 
-Omitted keys never materialize: the builders only override a default
-when the scenario actually sets the key, so the constructed configs
-are bit-identical to hand-constructed ones for unset knobs (including
-``backend``, which keeps honouring ``REPRO_BACKEND``).
+Each builder maps schema paths through one ``path -> (field,
+coercion)`` table and passes only the keys a scenario sets, so an
+omitted key keeps its dataclass default -- the same default the
+matching CLI flag has (``backend`` keeps honouring ``REPRO_BACKEND``).
+A config-built cell is therefore *equal* to the flag-built one, the
+bit-identity contract the property tests pin.  The same tables stamp
+the schema's documented defaults.
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ import itertools
 from dataclasses import dataclass
 
 from ..analysis.parallel import GridCell
-from ..config import (EvictionGranularity, MigrationPolicy, PrefetcherKind,
-                      ServeConfig, SimulationConfig)
-from .schema import ScenarioError, flatten
+from ..config import MigrationPolicy, ServeConfig, SimulationConfig
+from ..obs.live.slo import SloConfig
+from .schema import SCHEMA, ScenarioError, flatten
 
 __all__ = ["expand", "build_cell", "build_serve_config",
            "build_sim_config", "build_multigpu_spec", "build_slo_config",
@@ -94,49 +98,28 @@ def expand(scenario: dict) -> list[Variant]:
     return variants
 
 
-def _get(flat: dict, path: str, default):
-    """Flat lookup treating an explicit ``null`` as unset."""
-    value = flat.get(path)
-    return default if value is None else value
-
-
-def build_cell(variant: dict) -> GridCell:
-    """Map one concrete scenario onto a :class:`GridCell`.
-
-    Every default below is the :class:`GridCell` dataclass default, so
-    a scenario that omits a key builds a cell *equal* (and therefore
-    checkpoint-identical) to one built from CLI flags that omitted the
-    matching flag.
-    """
-    flat = flatten(variant)
-    workload = flat.get("workload")
-    if not workload:
-        raise ScenarioError(
-            f"{variant.get('name', '<scenario>')}: workload is unset after "
-            "expansion; set it or add it as a sweep axis")
-    return GridCell(
-        workload=workload,
-        policy=MigrationPolicy(_get(flat, "policy.variant", "adaptive")),
-        oversubscription=float(_get(flat, "oversubscription", 1.25)),
-        scale=_get(flat, "scale", "small"),
-        ts=int(_get(flat, "policy.static_threshold", 8)),
-        p=int(_get(flat, "policy.migration_penalty", 8)),
-        seed=int(_get(flat, "seed", 0)),
-        transfer_fault_rate=float(_get(flat, "faults.transfer_rate", 0.0)),
-        migration_fault_rate=float(_get(flat, "faults.migration_rate", 0.0)),
-        fault_retries=int(_get(flat, "faults.max_retries", 3)),
-        fault_burst_on=float(_get(flat, "faults.burst_on", 0.0)),
-        fault_burst_off=float(_get(flat, "faults.burst_off", 0.25)),
-        fault_burst_mult=float(_get(flat, "faults.burst_multiplier", 8.0)),
-        evict=_get(flat, "memory.eviction", "2mb"),
-        prefetcher=_get(flat, "memory.prefetcher", "tree"),
-        prefetch_degree=int(_get(flat, "memory.prefetch_degree", 4)),
-        threshold_variant=_get(flat, "policy.threshold_variant",
-                               "multiplicative"),
-        historic_counters=bool(_get(flat, "policy.historic_counters", True)),
-        backend=flat.get("backend"),
-    )
-
+#: Run-surface schema path -> (GridCell field, coercion).  ``workload``
+#: is required and handled by :func:`build_cell` itself.
+_CELL_FIELDS = {
+    "scale": ("scale", str),
+    "oversubscription": ("oversubscription", float),
+    "seed": ("seed", int),
+    "backend": ("backend", str),
+    "policy.variant": ("policy", MigrationPolicy),
+    "policy.static_threshold": ("ts", int),
+    "policy.migration_penalty": ("p", int),
+    "policy.threshold_variant": ("threshold_variant", str),
+    "policy.historic_counters": ("historic_counters", bool),
+    "memory.eviction": ("evict", str),
+    "memory.prefetcher": ("prefetcher", str),
+    "memory.prefetch_degree": ("prefetch_degree", int),
+    "faults.transfer_rate": ("transfer_fault_rate", float),
+    "faults.migration_rate": ("migration_fault_rate", float),
+    "faults.max_retries": ("fault_retries", int),
+    "faults.burst_on": ("fault_burst_on", float),
+    "faults.burst_off": ("fault_burst_off", float),
+    "faults.burst_multiplier": ("fault_burst_mult", float),
+}
 
 #: ``serve.*`` schema path -> (ServeConfig field, coercion).
 _SERVE_FIELDS = {
@@ -174,6 +157,38 @@ _SLO_FIELDS = {
     "slo.burn_threshold": ("burn_threshold", float),
 }
 
+#: ``multigpu.*`` schema path -> (MultiGpuSpec field, coercion).
+_MULTIGPU_FIELDS = {
+    "multigpu.gpus": ("gpus", int),
+    "multigpu.partition": ("partition", str),
+    "multigpu.throttle": ("throttle", float),
+}
+
+
+def _set_fields(flat: dict, table: dict) -> dict:
+    """Coerced ``{field: value}`` for the keys of ``table`` the scenario
+    sets (an explicit ``null`` counts as unset), so every omitted key
+    keeps its dataclass default."""
+    return {name: coerce(flat[path])
+            for path, (name, coerce) in table.items()
+            if flat.get(path) is not None}
+
+
+def build_cell(variant: dict) -> GridCell:
+    """Map one concrete scenario onto a :class:`GridCell`.
+
+    Omitted keys keep the :class:`GridCell` defaults, so a scenario
+    builds a cell *equal* (and therefore checkpoint-identical) to one
+    built from CLI flags that omitted the matching flags.
+    """
+    flat = flatten(variant)
+    workload = flat.get("workload")
+    if not workload:
+        raise ScenarioError(
+            f"{variant.get('name', '<scenario>')}: workload is unset after "
+            "expansion; set it or add it as a sweep axis")
+    return GridCell(workload, **_set_fields(flat, _CELL_FIELDS))
+
 
 def build_slo_config(variant: dict):
     """Map a variant's ``slo.*`` keys onto an
@@ -181,15 +196,7 @@ def build_slo_config(variant: dict):
     scenario states no objective (tuning keys alone do not enable the
     engine).
     """
-    from ..obs.live.slo import SloConfig
-
-    flat = flatten(variant)
-    kwargs: dict = {}
-    for path, (name, coerce) in _SLO_FIELDS.items():
-        value = flat.get(path)
-        if value is not None:
-            kwargs[name] = coerce(value)
-    config = SloConfig(**kwargs)
+    config = SloConfig(**_set_fields(flatten(variant), _SLO_FIELDS))
     if not config.enabled:
         return None
     config.validate()
@@ -205,11 +212,7 @@ def build_serve_config(variant: dict) -> ServeConfig:
     too).
     """
     flat = flatten(variant)
-    kwargs: dict = {}
-    for path, (name, coerce) in _SERVE_FIELDS.items():
-        value = flat.get(path)
-        if value is not None:
-            kwargs[name] = coerce(value)
+    kwargs = _set_fields(flat, _SERVE_FIELDS)
     if flat.get("scale") is not None:
         kwargs["scale"] = flat["scale"]
     if flat.get("seed") is not None:
@@ -220,46 +223,14 @@ def build_serve_config(variant: dict) -> ServeConfig:
 def build_sim_config(variant: dict) -> SimulationConfig:
     """Construct the :class:`SimulationConfig` a variant describes.
 
-    Applies the same mutation sequence as
-    :func:`repro.analysis.experiments.run_single` (and only for keys
-    actually set), so the config -- and any simulation run from it --
-    is bit-identical to the equivalent flag-driven invocation.
+    Goes through :meth:`GridCell.sim_config`, the same builder the grid
+    and the CLI flags use, so the config -- and any simulation run from
+    it -- is bit-identical to the equivalent flag-driven invocation.
+    ``workload`` may be unset (``mode: serve``).
     """
     flat = flatten(variant)
-    cfg = SimulationConfig(seed=int(_get(flat, "seed", 0)))
-    if flat.get("backend") is not None:
-        cfg = cfg.replace(backend=flat["backend"])
-    cfg = cfg.with_policy(
-        MigrationPolicy(_get(flat, "policy.variant", "adaptive")),
-        static_threshold=int(_get(flat, "policy.static_threshold", 8)),
-        migration_penalty=int(_get(flat, "policy.migration_penalty", 8)))
-    variant_fn = _get(flat, "policy.threshold_variant", "multiplicative")
-    historic = bool(_get(flat, "policy.historic_counters", True))
-    if variant_fn != "multiplicative" or not historic:
-        cfg = cfg.replace(policy=dataclasses.replace(
-            cfg.policy, threshold_variant=variant_fn,
-            historic_counters=historic))
-    if _get(flat, "memory.eviction", "2mb") == "64kb":
-        cfg = cfg.with_eviction_granularity(EvictionGranularity.BLOCK_64KB)
-    prefetcher = _get(flat, "memory.prefetcher", "tree")
-    degree = int(_get(flat, "memory.prefetch_degree", 4))
-    if prefetcher != "tree" or degree != 4:
-        cfg = cfg.with_prefetcher(PrefetcherKind(prefetcher), degree=degree)
-    transfer = float(_get(flat, "faults.transfer_rate", 0.0))
-    migration = float(_get(flat, "faults.migration_rate", 0.0))
-    if transfer or migration:
-        fault_kwargs = dict(
-            transfer_fault_rate=transfer, migration_fault_rate=migration,
-            max_retries=int(_get(flat, "faults.max_retries", 3)))
-        burst_on = float(_get(flat, "faults.burst_on", 0.0))
-        if burst_on:
-            fault_kwargs.update(
-                burst_on_prob=burst_on,
-                burst_off_prob=float(_get(flat, "faults.burst_off", 0.25)),
-                burst_multiplier=float(
-                    _get(flat, "faults.burst_multiplier", 8.0)))
-        cfg = cfg.with_faults(**fault_kwargs)
-    return cfg.validate()
+    cell = GridCell(flat.get("workload"), **_set_fields(flat, _CELL_FIELDS))
+    return cell.sim_config().validate()
 
 
 @dataclass(frozen=True)
@@ -270,28 +241,41 @@ class MultiGpuSpec:
     workload: str
     scale: str
     oversubscription: float
-    gpus: int
-    partition: str
-    throttle: float
+    gpus: int = 2
+    partition: str = "chunk"
+    #: Fraction of each device's memory the driver may use (Section
+    #: VIII throttle knob).
+    throttle: float = 1.0
 
 
 def build_multigpu_spec(variant: dict) -> MultiGpuSpec:
     """Map one concrete scenario onto a :class:`MultiGpuSpec`."""
-    flat = flatten(variant)
-    workload = flat.get("workload")
-    if not workload:
-        raise ScenarioError(
-            f"{variant.get('name', '<scenario>')}: workload is unset after "
-            "expansion; set it or add it as a sweep axis")
+    cell = build_cell(variant)
     return MultiGpuSpec(
-        config=build_sim_config(variant),
-        workload=workload,
-        scale=_get(flat, "scale", "small"),
-        oversubscription=float(_get(flat, "oversubscription", 1.25)),
-        gpus=int(_get(flat, "multigpu.gpus", 2)),
-        partition=_get(flat, "multigpu.partition", "chunk"),
-        throttle=float(_get(flat, "multigpu.throttle", 1.0)),
-    )
+        config=cell.sim_config().validate(), workload=cell.workload,
+        scale=cell.scale, oversubscription=cell.oversubscription,
+        **_set_fields(flatten(variant), _MULTIGPU_FIELDS))
+
+
+def _document_defaults() -> None:
+    """Stamp each compiled key's schema default from its dataclass field.
+
+    The schema documents the value an omitted key takes; reading it off
+    the field the key lands on keeps the two from drifting.  ``backend``
+    defaults to the environment and keeps its literal description.
+    """
+    for table, owner in ((_CELL_FIELDS, GridCell),
+                         (_SERVE_FIELDS, ServeConfig),
+                         (_SLO_FIELDS, SloConfig),
+                         (_MULTIGPU_FIELDS, MultiGpuSpec)):
+        for path, (name, _) in table.items():
+            if path != "backend":
+                default = getattr(owner, name)
+                SCHEMA[path] = dataclasses.replace(
+                    SCHEMA[path], default=getattr(default, "value", default))
+
+
+_document_defaults()
 
 
 def compile_check(scenario: dict) -> list[str]:

@@ -18,17 +18,22 @@ derived from this one table:
   documentation against it, and checks that the key-reference table in
   ``docs/scenarios.md`` covers every path listed here;
 * defaults are documentation of the *effective* value an omitted key
-  takes (they mirror the :mod:`repro.config` dataclass defaults; the
-  compiler never materializes them, so an omitted key really does
-  inherit the config default, including ``REPRO_BACKEND``).
+  takes.  Keys the compiler maps onto a dataclass field are declared
+  here without one: :mod:`repro.scenario.compile` stamps each from the
+  field's own default when it loads (the package imports it first), so
+  the table cannot drift from the config.  The compiler never
+  materializes defaults, so an omitted key really does inherit the
+  config default, including ``REPRO_BACKEND``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..analysis.parallel import EVICT_GRANULARITIES
 from ..config import (KNOWN_ARRIVAL_PROCESSES, KNOWN_BACKENDS,
-                      KNOWN_SCHEDULERS, KNOWN_THRESHOLD_VARIANTS)
+                      KNOWN_SCHEDULERS, KNOWN_THRESHOLD_VARIANTS,
+                      MigrationPolicy, PrefetcherKind)
 from ..multigpu.cluster import KNOWN_PARTITIONS
 from ..workloads import SCALES, workload_names
 
@@ -36,15 +41,13 @@ from ..workloads import SCALES, workload_names
 KNOWN_MODES: tuple[str, ...] = ("run", "sweep", "serve", "multigpu")
 
 #: Eviction granularities by CLI-style name.
-KNOWN_EVICT: tuple[str, ...] = ("2mb", "64kb")
+KNOWN_EVICT: tuple[str, ...] = tuple(EVICT_GRANULARITIES)
 
-#: Prefetcher kinds (mirrors :class:`repro.config.PrefetcherKind`).
-KNOWN_PREFETCHERS: tuple[str, ...] = ("tree", "none", "sequential", "random")
+#: Prefetcher kinds by value.
+KNOWN_PREFETCHERS: tuple[str, ...] = tuple(k.value for k in PrefetcherKind)
 
-#: Migration policies by value (mirrors :class:`MigrationPolicy`).
-KNOWN_POLICIES: tuple[str, ...] = ("disabled", "always", "oversub",
-                                   "adaptive")
-
+#: Migration policies by value.
+KNOWN_POLICIES: tuple[str, ...] = tuple(k.value for k in MigrationPolicy)
 
 
 class ScenarioError(ValueError):
@@ -95,117 +98,105 @@ SCHEMA: dict[str, Key] = {k.path: k for k in (
     # -- the single-run surface -----------------------------------------
     _k("workload", str, "workload name (see `repro list`)",
        choices=workload_names(extended=True)),
-    _k("scale", str, "workload scale preset", choices=tuple(SCALES),
-       default="small"),
+    _k("scale", str, "workload scale preset", choices=tuple(SCALES)),
     _k("oversubscription", (int, float), "working set as a fraction of "
-       "device capacity (1.25 = 125% oversubscription)", default=1.25),
-    _k("seed", int, "root RNG seed", default=0),
+       "device capacity (1.25 = 125% oversubscription)"),
+    _k("seed", int, "root RNG seed"),
     _k("backend", str, "hot-loop kernel backend",
        choices=KNOWN_BACKENDS, default="$REPRO_BACKEND or python"),
     # -- policy ----------------------------------------------------------
     _k("policy.variant", str, "migration policy scheme",
-       choices=KNOWN_POLICIES, default="adaptive"),
+       choices=KNOWN_POLICIES),
     _k("policy.static_threshold", int, "static access-counter threshold "
-       "ts (Table I)", default=8),
+       "ts (Table I)"),
     _k("policy.migration_penalty", int, "multiplicative migration "
-       "penalty p (Equation 1)", default=8),
+       "penalty p (Equation 1)"),
     _k("policy.threshold_variant", str, "Equation-1 growth function",
-       choices=KNOWN_THRESHOLD_VARIANTS, default="multiplicative"),
+       choices=KNOWN_THRESHOLD_VARIANTS),
     _k("policy.historic_counters", bool, "judge the adaptive threshold "
-       "against historic counters (False = Volta ablation)",
-       default=True),
+       "against historic counters (False = Volta ablation)"),
     # -- memory management ----------------------------------------------
     _k("memory.eviction", str, "eviction granularity",
-       choices=KNOWN_EVICT, default="2mb"),
+       choices=KNOWN_EVICT),
     _k("memory.prefetcher", str, "hardware prefetcher strategy",
-       choices=KNOWN_PREFETCHERS, default="tree"),
+       choices=KNOWN_PREFETCHERS),
     _k("memory.prefetch_degree", int, "blocks pulled per fault by the "
-       "sequential/random prefetchers", default=4),
+       "sequential/random prefetchers"),
     # -- fault injection -------------------------------------------------
     _k("faults.transfer_rate", (int, float), "per-migration PCIe "
-       "transfer-fault probability", default=0.0),
+       "transfer-fault probability"),
     _k("faults.migration_rate", (int, float), "per-migration device "
-       "allocation-fault probability", default=0.0),
+       "allocation-fault probability"),
     _k("faults.max_retries", int, "retries before degrading a faulted "
-       "migration to remote access", default=3),
+       "migration to remote access"),
     _k("faults.burst_on", (int, float), "calm->storm transition "
-       "probability of the correlated fault chain (0 disables)",
-       default=0.0),
+       "probability of the correlated fault chain (0 disables)"),
     _k("faults.burst_off", (int, float), "storm->calm transition "
-       "probability", default=0.25),
+       "probability"),
     _k("faults.burst_multiplier", (int, float), "fault-rate multiplier "
-       "while a storm is active", default=8.0),
+       "while a storm is active"),
     # -- multi-tenant serving (mode: serve) ------------------------------
     _k("serve.arrival_rate", (int, float), "tenant arrivals per second "
-       "of simulated time", default=400.0),
-    _k("serve.tenants", int, "tenant arrivals to generate", default=12),
+       "of simulated time"),
+    _k("serve.tenants", int, "tenant arrivals to generate"),
     _k("serve.duration_ms", (int, float), "arrival window in simulated "
-       "milliseconds (omit: cut by tenants alone)", default=None),
+       "milliseconds (omit: cut by tenants alone)"),
     _k("serve.process", str, "arrival process",
-       choices=KNOWN_ARRIVAL_PROCESSES, default="poisson"),
+       choices=KNOWN_ARRIVAL_PROCESSES),
     _k("serve.burst_factor", (int, float), "arrival-rate multiplier "
-       "inside a burst (bursty process)", default=8.0),
+       "inside a burst (bursty process)"),
     _k("serve.burst_len_ms", (int, float), "mean burst sojourn, "
-       "simulated ms", default=2.0),
+       "simulated ms"),
     _k("serve.calm_len_ms", (int, float), "mean calm sojourn, "
-       "simulated ms", default=10.0),
+       "simulated ms"),
     _k("serve.workload_mix", list, "workloads tenants are drawn from",
-       sweepable=False, default=["ra", "sssp", "bfs", "fdtd"]),
-    _k("serve.capacity_mb", int, "shared device capacity in MB",
-       default=32),
+       sweepable=False),
+    _k("serve.capacity_mb", int, "shared device capacity in MB"),
     _k("serve.admit_watermark", (int, float), "oversubscription up to "
-       "which arrivals are admitted immediately", default=1.5),
+       "which arrivals are admitted immediately"),
     _k("serve.shed_watermark", (int, float), "oversubscription past "
-       "which arrivals are shed", default=2.5),
+       "which arrivals are shed"),
     _k("serve.throttle_watermark", (int, float), "oversubscription at "
-       "which the heaviest-thrashing tenant is throttled", default=1.2),
-    _k("serve.queue_depth", int, "bounded admission queue depth",
-       default=8),
+       "which the heaviest-thrashing tenant is throttled"),
+    _k("serve.queue_depth", int, "bounded admission queue depth"),
     _k("serve.quantum", int, "waves per runnable tenant per scheduler "
-       "round", default=4),
+       "round"),
     _k("serve.throttle_rounds", int, "rounds a throttled tenant sits "
-       "out", default=8),
+       "out"),
     _k("serve.live_admission", bool, "drive the throttle from live "
        "windowed interference telemetry instead of the static "
-       "watermark alone", default=False),
+       "watermark alone"),
     _k("serve.live_thrash_threshold", (int, float), "EWMA thrash "
-       "migrations per wave at which live admission throttles",
-       default=0.25),
+       "migrations per wave at which live admission throttles"),
     _k("serve.window_ms", (int, float), "live-telemetry tumbling-window "
-       "width, simulated ms", default=5.0),
+       "width, simulated ms"),
     _k("serve.scheduler", str, "wave scheduler interleaving live "
-       "tenants", choices=KNOWN_SCHEDULERS, default="round_robin"),
+       "tenants", choices=KNOWN_SCHEDULERS),
     _k("serve.weights", list, "per-tenant fair-share weights under drr "
-       "(tenant i gets weights[i mod len]; empty = equal shares)",
-       default=[]),
+       "(tenant i gets weights[i mod len]; empty = equal shares)"),
     _k("serve.throttle_decay", (int, float), "drr weight multiplier "
-       "while a tenant is throttled (1.0 = throttle ignored)",
-       default=0.25),
+       "while a tenant is throttled (1.0 = throttle ignored)"),
     # -- serving SLOs (mode: serve; enables the SLO engine) --------------
     _k("slo.p99_latency_us", (int, float), "per-tenant wave-latency "
-       "target in simulated us (omit: no latency objective)",
-       default=None),
+       "target in simulated us (omit: no latency objective)"),
     _k("slo.latency_attainment", (int, float), "required fraction of "
-       "waves under the latency target", default=0.99),
+       "waves under the latency target"),
     _k("slo.max_shed_rate", (int, float), "service-level ceiling on the "
-       "fraction of arrivals shed (omit: no shed objective)",
-       default=None),
+       "fraction of arrivals shed (omit: no shed objective)"),
     _k("slo.min_throughput", (int, float), "per-tenant accesses-per-"
-       "second floor (omit: no throughput objective)", default=None),
+       "second floor (omit: no throughput objective)"),
     _k("slo.fast_windows", int, "closed windows merged into the fast "
-       "burn-rate horizon", default=3),
+       "burn-rate horizon"),
     _k("slo.slow_windows", int, "closed windows merged into the slow "
-       "burn-rate horizon", default=12),
+       "burn-rate horizon"),
     _k("slo.burn_threshold", (int, float), "error-budget burn rate both "
-       "horizons must exceed to flag a violation", default=2.0),
+       "horizons must exceed to flag a violation"),
     # -- multi-GPU topology (mode: multigpu) -----------------------------
-    _k("multigpu.gpus", int, "devices in the collaborative cluster",
-       default=2),
+    _k("multigpu.gpus", int, "devices in the collaborative cluster"),
     _k("multigpu.partition", str, "wave-stream partition strategy",
-       choices=KNOWN_PARTITIONS, default="chunk"),
+       choices=KNOWN_PARTITIONS),
     _k("multigpu.throttle", (int, float), "fraction of each device's "
-       "memory the driver may use (Section VIII throttle knob)",
-       default=1.0),
+       "memory the driver may use (Section VIII throttle knob)"),
 )}
 
 #: Section names (key prefixes) the schema knows about.

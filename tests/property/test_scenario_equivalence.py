@@ -6,16 +6,19 @@ builds *the same* :class:`GridCell` (same dataclass value, same
 leaves the cell at its default.  Because ``run_cell`` is a pure
 function of the cell, equality of cells gives bit-identical results --
 including through checkpoint journals, which key on ``cell_key``.
+The ``repro run`` flags for the same knobs build the same config too.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.analysis.checkpoint import cell_key, encode_result
 from repro.analysis.parallel import GridCell, GridOptions, run_cell, run_grid
 from repro.analysis.sweeps import oversubscription_sweep
+from repro.cli import _build_config, build_parser
 from repro.config import MigrationPolicy
-from repro.scenario import build_cell, expand, load_directory
+from repro.scenario import build_cell, build_sim_config, expand, load_directory
+from repro.scenario.schema import flatten
 
 yaml = pytest.importorskip("yaml")
 
@@ -70,6 +73,8 @@ def scenario_and_cell(draw):
           draw(st.integers(1, 4)))
     maybe("faults", "burst_on", "fault_burst_on",
           draw(st.sampled_from([0.0, 0.05])))
+    maybe("faults", "burst_off", "fault_burst_off",
+          draw(st.sampled_from([0.25, 0.5])))
     expected = GridCell(**kwargs)
     return data, expected
 
@@ -89,6 +94,42 @@ class TestCellEquivalence:
         data, expected = pair
         round_tripped = yaml.safe_load(yaml.safe_dump(data))
         assert build_cell(round_tripped) == expected
+
+
+#: Scenario path -> the ``repro run`` flag setting the same knob.
+RUN_FLAGS = {
+    "scale": "--scale",
+    "oversubscription": "--oversub",
+    "seed": "--seed",
+    "policy.variant": "--policy",
+    "policy.static_threshold": "--ts",
+    "policy.migration_penalty": "--penalty",
+    "memory.eviction": "--evict",
+    "memory.prefetcher": "--prefetcher",
+    "memory.prefetch_degree": "--prefetch-degree",
+    "faults.transfer_rate": "--fault-rate",
+    "faults.max_retries": "--fault-retries",
+    "faults.burst_on": "--fault-burst-on",
+    "faults.burst_off": "--fault-burst-off",
+}
+
+
+class TestFlagRouteEquivalence:
+    @given(scenario_and_cell())
+    @settings(max_examples=200, deadline=None)
+    def test_flags_scenario_and_cell_build_one_config(self, pair):
+        """``repro run`` flags ≡ scenario keys ≡ grid cell, as configs."""
+        data, expected = pair
+        flat = flatten(data)
+        # These knobs have no CLI flag.
+        assume("policy.threshold_variant" not in flat
+               and "policy.historic_counters" not in flat)
+        argv = ["run", data["workload"]]
+        for path, value in flat.items():
+            if path in RUN_FLAGS:
+                argv += [RUN_FLAGS[path], str(value)]
+        flag_cfg = _build_config(build_parser().parse_args(argv))
+        assert flag_cfg == build_sim_config(data) == expected.sim_config()
 
 
 class TestSweepEquivalence:

@@ -66,6 +66,19 @@ class TestExecution:
         for policy in ("disabled", "always", "oversub", "adaptive"):
             assert policy in out
 
+    def test_compare_honours_sim_flags(self, capsys):
+        """Every policy's run takes the prefetcher flag, not just the
+        policy knobs."""
+        def fault_counts(argv):
+            main(["compare", "ra", "--scale", "tiny"] + argv)
+            rows = capsys.readouterr().out.splitlines()[3:]
+            return {r.split()[0]: int(r.split()[3]) for r in rows}
+
+        tree = fault_counts([])
+        unprefetched = fault_counts(["--prefetcher", "none"])
+        assert tree.keys() == unprefetched.keys()
+        assert all(unprefetched[p] != tree[p] for p in tree)
+
     def test_figure_table1(self, capsys, tmp_path):
         out_file = tmp_path / "t1.txt"
         rc = main(["figure", "table1", "--out", str(out_file)])

@@ -112,6 +112,20 @@ class TestKeyReference:
     def test_repo_table_covers_schema(self):
         assert check_docs.check_key_reference(REPO_ROOT) == []
 
+    def test_drifted_default_detected(self, tmp_path):
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        table = (REPO_ROOT / "docs" / "scenarios.md").read_text(
+            encoding="utf-8")
+        row = "| `policy.static_threshold` | int | `8` |"
+        assert row in table
+        (docs / "scenarios.md").write_text(
+            table.replace(row, row.replace("`8`", "`16`")),
+            encoding="utf-8")
+        assert check_docs.check_key_reference(tmp_path) == [
+            "docs/scenarios.md: `policy.static_threshold` documents "
+            "default `16` but the schema default is `8`"]
+
     def test_missing_key_detected(self, tmp_path):
         docs = tmp_path / "docs"
         docs.mkdir()

@@ -21,7 +21,8 @@ Checks, over README.md, EXPERIMENTS.md, DESIGN.md and ``docs/*.md``:
   library).  Blocks containing ``# not-a-scenario`` are exempt;
 * **Key reference** -- the key table in ``docs/scenarios.md`` covers
   exactly the keys in ``repro.scenario.schema.SCHEMA`` (no missing,
-  no stale rows).
+  no stale rows), and its ``default`` column shows each key's scalar
+  schema default (`` `v` ``, or ``—`` for ``None``).
 
 Exit status is the number of problems found (0 = docs are clean).
 """
@@ -194,6 +195,19 @@ def check_yaml_blocks(path: Path, root: Path) -> list[str]:
 #: A key cell in the reference table: | `dotted.path` | ...
 KEY_ROW_RE = re.compile(r"^\|\s*`([a-z0-9_.]+)`\s*\|", re.M)
 
+#: Keys whose default column describes where the value comes from
+#: (the file stem, the environment) rather than stating a value.
+PROSE_DEFAULTS = frozenset({"name", "backend"})
+
+
+def _default_cell(default) -> str | None:
+    """How the table renders a scalar default; ``None`` for the rest."""
+    if default is None:
+        return "—"
+    if isinstance(default, (bool, int, float, str)):
+        return f"`{default}`"
+    return None
+
 
 def check_key_reference(root: Path) -> list[str]:
     """The scenarios.md key table vs. the live schema, both directions."""
@@ -207,9 +221,19 @@ def check_key_reference(root: Path) -> list[str]:
                       re.M | re.S)
     if match is None:
         return ["docs/scenarios.md: no '## Key reference' section"]
-    documented = set(KEY_ROW_RE.findall(match.group(1)))
+    section = match.group(1)
+    documented = set(KEY_ROW_RE.findall(section))
     schema = set(SCHEMA)
     errors = []
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        key = cells[0].strip("`")
+        if len(cells) < 3 or key not in schema or key in PROSE_DEFAULTS:
+            continue
+        want = _default_cell(SCHEMA[key].default)
+        if want is not None and cells[2] != want:
+            errors.append(f"docs/scenarios.md: `{key}` documents default "
+                          f"{cells[2]} but the schema default is {want}")
     for key in sorted(schema - documented):
         errors.append(f"docs/scenarios.md: schema key `{key}` missing "
                       f"from the key reference table")
