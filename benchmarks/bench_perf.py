@@ -5,9 +5,10 @@ second on a fixed workload set, run over a pre-recorded shared trace
 cache (the grid fan-out configuration; live wave generation is timed
 alongside for the ``replay_speedup`` ratio), (2) wall time of the
 ``bench_sweep`` grid serially and with ``--jobs`` worker processes,
-(3) the speedup of the batched migration drain over the in-tree scalar
-reference path, and (4) a steady-state resident-wave microbench that
-isolates the driver's all-resident fast path.
+(3) the speedup of the batched migration drain over the scalar-drain
+reference driver in ``tests/oracle.py``, and (4) a steady-state
+resident-wave microbench that isolates the driver's all-resident fast
+path.
 Results are written to ``BENCH_driver.json`` at the repository root
 (latest snapshot) and appended to ``BENCH_history.jsonl`` (one report
 per line, tagged with the git commit) so every later change has a perf
@@ -36,8 +37,11 @@ import platform
 import sys
 import tempfile
 import time
+from unittest import mock
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+# The repository root, for the reference drivers in ``tests/oracle.py``.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
 
 import numpy as np  # noqa: E402
 
@@ -59,7 +63,9 @@ from repro.memory.allocator import VirtualAddressSpace  # noqa: E402
 from repro.memory.layout import MB  # noqa: E402
 from repro.obs.store import git_info  # noqa: E402
 from repro.trace import TraceCache  # noqa: E402
-import repro.uvm.driver as uvm_driver  # noqa: E402
+from repro.sim import simulator  # noqa: E402
+from repro.uvm.driver import UvmDriver  # noqa: E402
+from tests.oracle import FullPipelineDriver, ScalarDrainDriver  # noqa: E402
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEFAULT_OUT = REPO_ROOT / "BENCH_driver.json"
@@ -136,7 +142,8 @@ def measure_fast_path(repeats: int, backend: str | None = None) -> dict:
     all-resident waves -- the steady state the resident fast path short
     circuits.  ``hit_rate`` is measured over the timed section (1.0 when
     warm-up fully migrated the working set), and the same section is
-    re-timed with ``resident_fast_path`` off for the speedup ratio.
+    re-timed on :class:`tests.oracle.FullPipelineDriver` (same traffic,
+    no fast path) for the speedup ratio.
     """
     size_mb, n_waves, wave_pages, passes = 32, 64, 512, 8
     vas = VirtualAddressSpace()
@@ -155,24 +162,27 @@ def measure_fast_path(repeats: int, backend: str | None = None) -> dict:
         waves.append((pages, is_write))
     accesses_per_pass = sum(p.size for p, _ in waves)
 
-    driver = uvm_driver.UvmDriver(vas, cfg)
-    for pages, w in waves:  # warm pass: first touch migrates everything
-        driver.process_wave(pages, w)
+    def warmed(cls):
+        driver = cls(vas, cfg)
+        for pages, w in waves:  # warm pass: first touch migrates everything
+            driver.process_wave(pages, w)
+        return driver
 
-    def steady() -> None:
+    def steady(driver) -> None:
         process = driver.process_wave
         for _ in range(passes):
             for pages, w in waves:
                 process(pages, w)
 
+    driver = warmed(UvmDriver)
     base_waves = driver.stats.waves
     base_hits = driver.stats.fast_path_waves
-    wall, cpu, _ = _timed(steady, repeats)
+    wall, cpu, _ = _timed(lambda: steady(driver), repeats)
     timed_waves = driver.stats.waves - base_waves
     hit_rate = ((driver.stats.fast_path_waves - base_hits) / timed_waves
                 if timed_waves else 0.0)
-    driver.resident_fast_path = False
-    off_wall, _, _ = _timed(steady, repeats)
+    slow = warmed(FullPipelineDriver)
+    off_wall, _, _ = _timed(lambda: steady(slow), repeats)
     return {
         "waves_per_pass": n_waves,
         "passes": passes,
@@ -213,29 +223,22 @@ def measure_sweep(scale: str, repeats: int, jobs: int) -> dict:
 
 
 def measure_batched_vs_scalar(scale: str, repeats: int) -> dict:
-    """Batched drain vs the in-tree scalar reference on the same grid.
+    """Batched drain vs the scalar-drain reference on the same grid.
 
-    The scalar path is the seed implementation kept as an equivalence
-    reference (``UvmDriver.batched_migrations``); the two produce
+    The scalar path is the seed implementation, kept as the equivalence
+    oracle :class:`tests.oracle.ScalarDrainDriver`; the two produce
     bit-identical event counts (enforced by the property suite), so the
-    ratio isolates the tentpole's driver-hot-path speedup.
+    ratio isolates the batched drain's driver-hot-path speedup.  The
+    serial grid builds its drivers in this process, so swapping the
+    simulator's driver class runs the grid on the oracle.
     """
-    def with_flag(batched: bool) -> tuple[float, float]:
-        orig = uvm_driver.UvmDriver.__init__
-
-        def patched(self, *a, **kw):
-            orig(self, *a, **kw)
-            self.batched_migrations = batched
-
-        uvm_driver.UvmDriver.__init__ = patched
-        try:
+    def with_driver(cls) -> tuple[float, float]:
+        with mock.patch.object(simulator, "UvmDriver", cls):
             wall, cpu, _ = _timed(lambda: _sweep_grid(scale, 1), repeats)
-        finally:
-            uvm_driver.UvmDriver.__init__ = orig
         return wall, cpu
 
-    batched_wall, batched_cpu = with_flag(True)
-    scalar_wall, scalar_cpu = with_flag(False)
+    batched_wall, batched_cpu = with_driver(UvmDriver)
+    scalar_wall, scalar_cpu = with_driver(ScalarDrainDriver)
     return {
         "scale": scale,
         "batched_wall_seconds": round(batched_wall, 4),

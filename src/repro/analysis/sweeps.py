@@ -91,8 +91,9 @@ def oversubscription_sweep(workload: str,
                            policies=(MigrationPolicy.DISABLED,
                                      MigrationPolicy.ADAPTIVE),
                            levels: tuple[float, ...] = DEFAULT_LEVELS,
-                           scale: str = "small", ts: int = 8, p: int = 8,
-                           seed: int = 0, jobs: int = 1,
+                           scale: str = GridCell.scale,
+                           ts: int = GridCell.ts, p: int = GridCell.p,
+                           seed: int = GridCell.seed, jobs: int = 1,
                            grid: GridOptions | None = None) -> SweepResult:
     """Run ``workload`` under each policy at each oversubscription level.
 
@@ -147,9 +148,11 @@ class FaultSweepResult:
 def fault_rate_sweep(workload: str,
                      policy: MigrationPolicy = MigrationPolicy.ADAPTIVE,
                      rates: tuple[float, ...] = DEFAULT_FAULT_RATES,
-                     oversubscription: float = 1.25, scale: str = "small",
-                     ts: int = 8, p: int = 8, seed: int = 0,
-                     fault_retries: int = 3, jobs: int = 1,
+                     oversubscription: float = GridCell.oversubscription,
+                     scale: str = GridCell.scale, ts: int = GridCell.ts,
+                     p: int = GridCell.p, seed: int = GridCell.seed,
+                     fault_retries: int = GridCell.fault_retries,
+                     jobs: int = 1,
                      grid: GridOptions | None = None) -> FaultSweepResult:
     """Map graceful degradation across injected transient-fault rates.
 

@@ -99,7 +99,7 @@ class MultiGpuSimulator:
         if partition not in KNOWN_PARTITIONS:
             raise ValueError(f"unknown partition strategy {partition!r}; "
                              f"choose from {KNOWN_PARTITIONS}")
-        self.config = config or SimulationConfig()
+        self.config = (config or SimulationConfig()).validate()
         self.num_gpus = num_gpus
         self.throttle = throttle
         self.partition = partition

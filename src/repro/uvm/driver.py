@@ -201,17 +201,6 @@ class UvmDriver:
         self.debug_invariants = config.debug_invariants
         self.stats = DriverCounters()
         self._clock = 0  # logical LRU timestamp, bumped per wave
-        #: Resolve migrations through the batched drain (chunk-grouped
-        #: bulk installs).  The scalar drain is kept as the reference
-        #: implementation; the equivalence property tests and the perf
-        #: harness flip this flag to compare the two paths.
-        self.batched_migrations = True
-        #: Resolve all-resident waves through the short-circuit fast
-        #: path (one residency gather, then counter add + LRU touch
-        #: only).  Off, every wave walks the full pipeline; the
-        #: equivalence property tests flip this flag to pin
-        #: bit-identical outcomes and driver state.
-        self.resident_fast_path = True
         # Per-wave LFU victim-ordering caches: per-chunk resident heat
         # sums and any-dirty flags, built lazily at the wave's first
         # pressure event and updated incrementally on install/evict.
@@ -263,9 +252,9 @@ class UvmDriver:
         # grouping, policy consultation, fault injection, or room-making.
         # Duplicate block/chunk ids are harmless to each of those updates,
         # so the grouping pass is skipped entirely; outcomes and driver
-        # state are bit-identical to the full pipeline (property-tested).
-        if self.resident_fast_path and self._kern.resident_all(
-                self.residency.resident, blocks):
+        # state are bit-identical to the full pipeline (property-tested
+        # against ``tests/oracle.py``).
+        if self._kern.resident_all(self.residency.resident, blocks):
             out.n_local = out.n_accesses
             wb = blocks[is_write]
             if wb.size:
@@ -397,20 +386,16 @@ class UvmDriver:
             self.host.map_remote(staying)
 
         # Migrations drain in arrival order so prefetch and eviction
-        # interact like fault-buffer draining in the real driver.  The
-        # batched drain defers bookkeeping into chunk-grouped bulk
-        # installs; the scalar drain is the reference implementation.
+        # interact like fault-buffer draining in the real driver.
         mig = nrb[migrate]
         if mig.size:
-            drain = (self._drain_migrations_batched if self.batched_migrations
-                     else self._drain_migrations_scalar)
             if self._prof is not None:
                 with self._prof.span("migrate_drain"):
-                    drain(mig, k[migrate], kw[migrate], remote[migrate],
-                          pinned, out)
+                    self._drain_migrations(mig, k[migrate], kw[migrate],
+                                           remote[migrate], pinned, out)
             else:
-                drain(mig, k[migrate], kw[migrate], remote[migrate], pinned,
-                      out)
+                self._drain_migrations(mig, k[migrate], kw[migrate],
+                                       remote[migrate], pinned, out)
 
     def _inject_migration_faults(self, nrb: np.ndarray, k: np.ndarray,
                                  c0: np.ndarray, td: np.ndarray,
@@ -441,46 +426,19 @@ class UvmDriver:
                 bus.emit(FaultRetry(wave=bus.wave, block=int(nrb[i]),
                                     failures=failures, degraded=not ok))
 
-    def _drain_migrations_scalar(self, mig: np.ndarray, mig_k: np.ndarray,
-                                 mig_kw: np.ndarray, mig_remote: np.ndarray,
-                                 pinned: np.ndarray,
-                                 out: WaveOutcome) -> None:
-        """Reference drain: migrations resolved one block at a time."""
-        for b, kk, kkw, rr in zip(mig.tolist(), mig_k.tolist(),
-                                  mig_kw.tolist(), mig_remote.tolist()):
-            if self.residency.resident[b]:
-                # A prefetch earlier in this loop already pulled it in.
-                out.n_local += int(kk - rr)
-                if kkw > 0:
-                    self._note_dirty(np.array([b]))
-                continue
-            if self._migrate_block(int(b), pinned, out):
-                # One access is the fault itself; the rest hit locally.
-                out.n_local += int(kk - rr - 1)
-                if kkw > 0:
-                    self._note_dirty(np.array([b]))
-            else:
-                # No room even after eviction attempts: serve remotely.
-                extra = int(kk - rr)
-                out.n_remote += extra
-                if not self.host.remote_mapped[b]:
-                    out.mapping_faults += 1
-                    self.host.map_remote(np.array([b]))
+    def _drain_migrations(self, mig: np.ndarray, mig_k: np.ndarray,
+                          mig_kw: np.ndarray, mig_remote: np.ndarray,
+                          pinned: np.ndarray, out: WaveOutcome) -> None:
+        """Fault-migrate ``mig`` in arrival order, with prefetch and eviction.
 
-    def _drain_migrations_batched(self, mig: np.ndarray, mig_k: np.ndarray,
-                                  mig_kw: np.ndarray, mig_remote: np.ndarray,
-                                  pinned: np.ndarray,
-                                  out: WaveOutcome) -> None:
-        """Batched drain: defer installs into chunk-grouped bulk flushes.
-
-        Produces bit-identical event counts to the scalar drain.  Blocks
-        still drain in arrival order (prefetch decisions are inherently
+        Blocks drain one at a time (prefetch decisions are inherently
         sequential within a chunk's tree), but as long as the device has
         room, installs only append to per-chunk pending batches that are
         committed with one array operation per chunk.  Pending state is
         flushed before any eviction, so victim selection, write-back
-        accounting and round-trip counters observe exactly the state the
-        scalar drain would.
+        accounting and round-trip counters observe exactly the state a
+        block-at-a-time drain would (``tests/oracle.py`` keeps that
+        reference, and the property suite pins bit-identical results).
         """
         resident = self.residency.resident
         trees = self.trees
@@ -494,22 +452,13 @@ class UvmDriver:
             prefetch = self._prof.wrap("prefetch_tree", prefetch)
         bus = self._bus
         bus_on = bus is not None and bus.enabled
-        counters = self.counters
         pending: dict[int, list[int]] = {}
         pending_set: set[int] = set()
         pending_dirty: list[int] = []
 
         def flush() -> None:
-            roundtrips = counters.roundtrips
             for cid, blks in pending.items():
-                batch = np.array(blks, dtype=np.int64)
-                self._install(batch, cid)
-                if counters.has_roundtrips:
-                    thrashy = batch[roundtrips[batch] > 0]
-                    out.thrash_migrations += int(thrashy.size)
-                    self.stats.thrashed_block_ids.update(thrashy.tolist())
-                    if self.attribution is not None and thrashy.size:
-                        self.attribution.on_thrash(thrashy)
+                self._install(np.array(blks, dtype=np.int64), cid, out)
             pending.clear()
             pending_set.clear()
             if pending_dirty:
@@ -539,20 +488,19 @@ class UvmDriver:
                 continue
             if free < 1:
                 # The fault itself needs an eviction: commit pending
-                # state, then take the scalar path for this block.
+                # state so victim selection sees it, then make room.
                 flush()
-                if self._migrate_block(b, pinned, out):
-                    n_local += kk - rr - 1
-                    if kkw > 0:
-                        self._note_dirty(np.array([b]))
-                else:
+                never = np.zeros(self.directory.num_chunks, dtype=bool)
+                never[cid] = True
+                room = self._make_room(1, pinned, never, out)
+                free = self.device.free_blocks
+                if not room:
+                    # No room even after eviction: serve remotely.
                     out.n_remote += kk - rr
                     if not self.host.remote_mapped[b]:
                         out.mapping_faults += 1
                         self.host.map_remote(np.array([b]))
-                free = self.device.free_blocks
-                continue
-            # Fast path: the fault block fits without eviction.
+                    continue
             pf_leaves = prefetch(trees[cid], b - first)
             chunk_pending = pending.get(cid)
             if chunk_pending is None:
@@ -579,25 +527,17 @@ class UvmDriver:
                                             blocks=len(pf_list)))
             else:
                 # The prefetch batch needs an eviction: commit pending
-                # state (including this fault block), then make room
-                # exactly as the scalar path would.
+                # state (including this fault block), then make room.
                 flush()
                 never = np.zeros(self.directory.num_chunks, dtype=bool)
                 never[cid] = True
                 if self._make_room(int(pf_blocks.size), pinned, never, out):
-                    self._install(pf_blocks, cid)
+                    self._install(pf_blocks, cid, out)
                     out.prefetched_blocks += int(pf_blocks.size)
                     if bus_on:
                         bus.emit(PrefetchExpand(wave=bus.wave, chunk=cid,
                                                 fault_block=b,
                                                 blocks=int(pf_blocks.size)))
-                    if counters.has_roundtrips:
-                        thrashy = pf_blocks[
-                            counters.roundtrips[pf_blocks] > 0]
-                        out.thrash_migrations += int(thrashy.size)
-                        self.stats.thrashed_block_ids.update(thrashy.tolist())
-                        if self.attribution is not None and thrashy.size:
-                            self.attribution.on_thrash(thrashy)
                 else:
                     # Could not hold the prefetch: roll the leaves back
                     # out of the tree.
@@ -613,55 +553,13 @@ class UvmDriver:
     # migration machinery
     # ------------------------------------------------------------------
 
-    def _migrate_block(self, block: int, pinned: np.ndarray,
-                       out: WaveOutcome) -> bool:
-        """Fault-migrate ``block``; runs prefetcher; returns success."""
-        cid = int(self.directory.chunk_of_block[block])
-        if cid < 0:
-            raise RuntimeError(f"block {block} belongs to no chunk")
-        never = np.zeros(self.directory.num_chunks, dtype=bool)
-        never[cid] = True
+    def _install(self, blocks: np.ndarray, cid: int,
+                 out: WaveOutcome) -> None:
+        """Claim frames and map ``blocks`` device-resident.
 
-        if not self._make_room(1, pinned, never, out):
-            return False
-        leaf = block - int(self.directory.first_block[cid])
-        tree = self.trees[cid]
-        on_fault = self.prefetcher.on_fault
-        if self._prof is not None:
-            on_fault = self._prof.wrap("prefetch_tree", on_fault)
-        pf_leaves = on_fault(tree, leaf)
-
-        self._install(np.array([block], dtype=np.int64), cid)
-        out.fault_migrations += 1
-        out.migrated_blocks += 1
-        if self.counters.roundtrips[block] > 0:
-            out.thrash_migrations += 1
-            self.stats.thrashed_block_ids.add(block)
-            if self.attribution is not None:
-                self.attribution.on_thrash(np.array([block], dtype=np.int64))
-
-        if pf_leaves.size:
-            pf_blocks = int(self.directory.first_block[cid]) + pf_leaves
-            if self._make_room(int(pf_blocks.size), pinned, never, out):
-                self._install(pf_blocks, cid)
-                out.prefetched_blocks += int(pf_blocks.size)
-                if self._bus is not None and self._bus.enabled:
-                    self._bus.emit(PrefetchExpand(
-                        wave=self._bus.wave, chunk=cid, fault_block=block,
-                        blocks=int(pf_blocks.size)))
-                thrashy = pf_blocks[self.counters.roundtrips[pf_blocks] > 0]
-                out.thrash_migrations += int(thrashy.size)
-                self.stats.thrashed_block_ids.update(thrashy.tolist())
-                if self.attribution is not None and thrashy.size:
-                    self.attribution.on_thrash(thrashy)
-            else:
-                # Could not hold the prefetch: roll the leaves back out of
-                # the tree by clearing and re-marking only true residents.
-                self._rebuild_tree(cid)
-        return True
-
-    def _install(self, blocks: np.ndarray, cid: int) -> None:
-        """Claim frames and map ``blocks`` device-resident."""
+        Blocks with round trips > 0 are re-migrations: they count as
+        thrash in ``out``, the run stats and any tenant attribution.
+        """
         self.device.allocate(int(blocks.size))
         self.residency.mark_resident(blocks)
         self.host.migrate_to_device(blocks)
@@ -676,6 +574,13 @@ class UvmDriver:
         if self._heat_sum is not None:
             # Newly resident blocks contribute their heat to the chunk.
             self._heat_sum[cid] += float(self.counters.counts[blocks].sum())
+        if self.counters.has_roundtrips:
+            thrashy = blocks[self.counters.roundtrips[blocks] > 0]
+            if thrashy.size:
+                out.thrash_migrations += int(thrashy.size)
+                self.stats.thrashed_block_ids.update(thrashy.tolist())
+                if self.attribution is not None:
+                    self.attribution.on_thrash(thrashy)
 
     def _note_dirty(self, blocks: np.ndarray) -> None:
         """Mark blocks dirty, keeping the LFU dirty cache in sync."""

@@ -32,8 +32,11 @@ def make_vas(*sizes_mb: float, read_only: tuple[bool, ...] | None = None
 def make_driver(vas: VirtualAddressSpace,
                 policy: MigrationPolicy = MigrationPolicy.DISABLED,
                 capacity_mb: float = 64, ts: int = 8, p: int = 8,
-                prefetcher: bool = True) -> UvmDriver:
-    """Driver over ``vas`` with the given policy and capacity."""
+                prefetcher: bool = True, cls=UvmDriver) -> UvmDriver:
+    """Driver over ``vas`` with the given policy and capacity.
+
+    ``cls`` swaps in a reference driver from :mod:`tests.oracle`.
+    """
     cfg = SimulationConfig().with_policy(policy, static_threshold=ts,
                                          migration_penalty=p)
     cfg = cfg.with_device_capacity(int(capacity_mb * MB))
@@ -42,7 +45,7 @@ def make_driver(vas: VirtualAddressSpace,
         cfg = dataclasses.replace(
             cfg, memory=dataclasses.replace(cfg.memory,
                                             prefetcher_enabled=False))
-    return UvmDriver(vas, cfg)
+    return cls(vas, cfg)
 
 
 class StreamWorkload(Workload):

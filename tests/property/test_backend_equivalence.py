@@ -30,6 +30,7 @@ from repro.uvm.driver import UvmDriver
 from repro.workloads import ALL_WORKLOADS, EXTENDED_WORKLOADS, make_workload
 
 from tests.conftest import make_vas
+from tests.oracle import FullPipelineDriver
 
 policies = st.sampled_from(list(MigrationPolicy))
 
@@ -66,9 +67,8 @@ def _make_driver(backend: str, policy: MigrationPolicy,
     if fault_rates is not None:
         cfg = cfg.with_faults(transfer_fault_rate=fault_rates[0],
                               migration_fault_rate=fault_rates[1])
-    drv = UvmDriver(make_vas(4, 8), cfg)
-    drv.resident_fast_path = fast_path
-    return drv
+    cls = UvmDriver if fast_path else FullPipelineDriver
+    return cls(make_vas(4, 8), cfg)
 
 
 def _assert_same_state(a: UvmDriver, b: UvmDriver) -> None:

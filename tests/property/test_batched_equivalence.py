@@ -1,12 +1,14 @@
-"""Batched-vs-scalar equivalence: the tentpole's correctness contract.
+"""Batched-vs-scalar equivalence: the drain rewrite's correctness contract.
 
-The driver's batched migration drain and the tree's bulk
+The driver's chunk-grouped migration drain and the tree's bulk
 ``install_leaves`` are pure performance rewrites of the seed's scalar
-paths, which are kept in-tree as references
-(``UvmDriver.batched_migrations`` and ``PrefetchTree.mark_resident``).
-These properties pin the contract: identical :class:`WaveOutcome`
-totals, identical driver state, and clean ``check_consistency()`` under
-randomized traffic, for every policy.
+paths.  The scalar references live test-side
+(:class:`tests.oracle.ScalarDrainDriver` and
+``PrefetchTree.mark_resident``).  These properties pin the contract:
+identical :class:`WaveOutcome` totals, identical driver state, thrash
+set and tenant attribution, and clean ``check_consistency()`` under
+randomized traffic, across every policy, replacement policy, eviction
+granularity, prefetcher and fault setting.
 """
 
 import dataclasses
@@ -14,12 +16,39 @@ import dataclasses
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.config import MigrationPolicy
+from repro.config import (
+    EvictionGranularity,
+    MigrationPolicy,
+    PrefetcherKind,
+    ReplacementPolicy,
+    SimulationConfig,
+)
+from repro.memory.layout import MB
+from repro.uvm.attribution import TenantAttribution
+from repro.uvm.driver import UvmDriver
 from repro.uvm.tree import PrefetchTree
 
-from tests.conftest import make_driver, make_vas
+from tests.conftest import make_vas
+from tests.oracle import ScalarDrainDriver
 
-policies = st.sampled_from(list(MigrationPolicy))
+
+@st.composite
+def configs(draw):
+    cfg = (SimulationConfig(seed=draw(st.integers(0, 3)))
+           .with_policy(draw(st.sampled_from(list(MigrationPolicy))),
+                        static_threshold=8, migration_penalty=8)
+           .with_device_capacity(draw(st.sampled_from([2, 6, 64])) * MB)
+           .with_eviction_granularity(
+               draw(st.sampled_from(list(EvictionGranularity))))
+           .with_prefetcher(draw(st.sampled_from(list(PrefetcherKind)))))
+    cfg = dataclasses.replace(cfg, memory=dataclasses.replace(
+        cfg.memory,
+        replacement=draw(st.sampled_from(list(ReplacementPolicy)))))
+    if draw(st.booleans()):
+        cfg = cfg.with_faults(
+            transfer_fault_rate=draw(st.floats(0.0, 0.3)),
+            migration_fault_rate=draw(st.floats(0.01, 0.3)))
+    return cfg
 
 
 @st.composite
@@ -30,29 +59,35 @@ def traffic(draw):
     return seed, n_waves, wave_size
 
 
-def _drivers(policy):
-    """One batched and one scalar-reference driver, same configuration."""
+def _drivers(cfg, attributed):
+    """The production driver and the scalar-drain oracle, same config."""
     pair = []
-    for batched in (True, False):
-        drv = make_driver(make_vas(4, 8), policy, capacity_mb=6)
-        drv.batched_migrations = batched
+    for cls in (UvmDriver, ScalarDrainDriver):
+        drv = cls(make_vas(4, 8, 3), cfg)
+        if attributed:
+            owner = np.arange(drv.vas.total_blocks) % 3
+            owner[::7] = -1  # some blocks belong to no tenant
+            drv.attribution = TenantAttribution(owner, 3)
         pair.append(drv)
     return pair
 
 
-@given(policies, traffic())
-@settings(max_examples=50, deadline=None)
-def test_batched_drain_matches_scalar_reference(policy, t):
+@given(configs(), traffic(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_batched_drain_matches_scalar_reference(cfg, t, attributed):
     seed, n_waves, wave_size = t
     rng = np.random.default_rng(seed)
-    batched, scalar = _drivers(policy)
+    batched, scalar = _drivers(cfg, attributed)
     alloc_pages = np.concatenate([
         np.arange(a.first_page, a.last_page)
         for a in batched.vas.allocations])
-    for _ in range(n_waves):
+    for wave in range(n_waves):
         pages = rng.choice(alloc_pages, size=wave_size)
         writes = rng.random(wave_size) < 0.4
         counts = rng.integers(1, 50, size=wave_size)
+        if attributed:
+            batched.attribution.current = scalar.attribution.current = (
+                wave % 3)
         out_b = batched.process_wave(pages, writes, counts)
         out_s = scalar.process_wave(pages.copy(), writes.copy(),
                                     counts.copy())
@@ -67,6 +102,13 @@ def test_batched_drain_matches_scalar_reference(policy, t):
                           scalar.counters.roundtrips)
     assert np.array_equal(batched.directory.last_touch,
                           scalar.directory.last_touch)
+    assert (batched.stats.thrashed_block_ids
+            == scalar.stats.thrashed_block_ids)
+    if attributed:
+        for name in ("evicted_blocks", "cross_evictions",
+                     "thrash_migrations"):
+            assert np.array_equal(getattr(batched.attribution, name),
+                                  getattr(scalar.attribution, name)), name
     batched.check_consistency()
     scalar.check_consistency()
 

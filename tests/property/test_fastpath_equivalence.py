@@ -1,6 +1,7 @@
 """Fast-path and trace-replay equivalence: this tentpole's contracts.
 
-The resident fast path (``UvmDriver.resident_fast_path``) and trace
+The resident fast path (checked against
+:class:`tests.oracle.FullPipelineDriver`, which never takes it) and trace
 replay (:class:`repro.trace.TraceWorkload`, the engine behind the grid
 trace cache) are pure performance rewrites: the short circuit must be
 undetectable in outcomes and driver state, and a replayed stream must
@@ -28,6 +29,7 @@ from repro.uvm.driver import UvmDriver
 from repro.workloads import ALL_WORKLOADS, EXTENDED_WORKLOADS, make_workload
 
 from tests.conftest import make_driver, make_vas
+from tests.oracle import FullPipelineDriver
 
 policies = st.sampled_from(list(MigrationPolicy))
 
@@ -78,11 +80,9 @@ def _run_pair(fast: UvmDriver, slow: UvmDriver, seed: int, n_waves: int,
 @settings(max_examples=50, deadline=None)
 def test_fast_path_matches_full_pipeline(policy, t):
     seed, n_waves, wave_size, capacity_mb = t
-    pair = []
-    for fast in (True, False):
-        drv = make_driver(make_vas(4, 8), policy, capacity_mb=capacity_mb)
-        drv.resident_fast_path = fast
-        pair.append(drv)
+    pair = [make_driver(make_vas(4, 8), policy, capacity_mb=capacity_mb,
+                        cls=cls)
+            for cls in (UvmDriver, FullPipelineDriver)]
     _run_pair(*pair, seed, n_waves, wave_size)
 
 
@@ -93,52 +93,49 @@ def test_fast_path_matches_under_fault_injection(t, transfer_rate,
     """All-resident waves draw nothing from the injector RNG, so the
     short circuit cannot shift later fault outcomes."""
     seed, n_waves, wave_size, capacity_mb = t
-    pair = []
-    for fast in (True, False):
-        cfg = (SimulationConfig()
-               .with_policy(MigrationPolicy.ADAPTIVE)
-               .with_device_capacity(capacity_mb * MB)
-               .with_faults(transfer_fault_rate=transfer_rate,
-                            migration_fault_rate=migration_rate))
-        drv = UvmDriver(make_vas(4, 8), cfg)
-        drv.resident_fast_path = fast
-        pair.append(drv)
+    cfg = (SimulationConfig()
+           .with_policy(MigrationPolicy.ADAPTIVE)
+           .with_device_capacity(capacity_mb * MB)
+           .with_faults(transfer_fault_rate=transfer_rate,
+                        migration_fault_rate=migration_rate))
+    pair = [cls(make_vas(4, 8), cfg)
+            for cls in (UvmDriver, FullPipelineDriver)]
     _run_pair(*pair, seed, n_waves, wave_size)
 
 
 @pytest.mark.parametrize("replacement", list(ReplacementPolicy))
 def test_fast_path_matches_under_both_replacement_policies(replacement):
-    pair = []
-    for fast in (True, False):
-        cfg = (SimulationConfig()
-               .with_policy(MigrationPolicy.ADAPTIVE)
-               .with_device_capacity(6 * MB))
-        cfg = dataclasses.replace(
-            cfg, memory=dataclasses.replace(cfg.memory,
-                                            replacement=replacement))
-        drv = UvmDriver(make_vas(4, 8), cfg)
-        drv.resident_fast_path = fast
-        pair.append(drv)
+    cfg = (SimulationConfig()
+           .with_policy(MigrationPolicy.ADAPTIVE)
+           .with_device_capacity(6 * MB))
+    cfg = dataclasses.replace(
+        cfg, memory=dataclasses.replace(cfg.memory, replacement=replacement))
+    pair = [cls(make_vas(4, 8), cfg)
+            for cls in (UvmDriver, FullPipelineDriver)]
     _run_pair(*pair, seed=11, n_waves=12, wave_size=200)
 
 
 def test_fast_path_fires_in_steady_state():
     """With capacity over footprint, repeat traffic is absorbed by the
-    fast path, and the hit-rate rollup reflects it."""
-    drv = make_driver(make_vas(4), MigrationPolicy.DISABLED, capacity_mb=16)
+    fast path, and the hit-rate rollup reflects it; the full-pipeline
+    oracle resolves the same waves without it."""
+    drv, slow = (make_driver(make_vas(4), MigrationPolicy.DISABLED,
+                             capacity_mb=16, cls=cls)
+                 for cls in (UvmDriver, FullPipelineDriver))
     pages = np.arange(drv.vas.allocations[0].first_page,
                       drv.vas.allocations[0].last_page)
     writes = np.zeros(pages.size, dtype=bool)
-    drv.process_wave(pages, writes)  # warm: first touch migrates all
+    for d in (drv, slow):
+        d.process_wave(pages, writes)  # warm: first touch migrates all
     assert drv.stats.fast_path_waves == 0 or drv.fast_path_hit_rate < 1.0
     for _ in range(4):
         out = drv.process_wave(pages, writes)
         assert out.n_local == out.n_accesses
+        assert slow.process_wave(pages, writes) == out
     assert drv.stats.fast_path_waves == 4
     assert drv.fast_path_hit_rate == pytest.approx(4 / 5)
-    drv.resident_fast_path = False
-    drv.process_wave(pages, writes)
-    assert drv.stats.fast_path_waves == 4  # off: full pipeline again
+    assert slow.stats.fast_path_waves == 0  # oracle: full pipeline only
+    _assert_same_state(drv, slow)
 
 
 # ---------------------------------------------------------------------------

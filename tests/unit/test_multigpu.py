@@ -25,6 +25,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             MultiGpuSimulator(config(), num_gpus=2, throttle=1.5)
 
+    def test_rejects_configs_the_simulator_rejects(self):
+        """A static threshold a 3-bit counter can never reach is refused
+        by the cluster exactly as by the single-GPU simulator."""
+        bad = SimulationConfig().with_policy(
+            MigrationPolicy.ADAPTIVE, counter_bits=3, roundtrip_bits=29,
+            static_threshold=16)
+        with pytest.raises(ValueError, match="static_threshold"):
+            Simulator(bad)
+        with pytest.raises(ValueError, match="static_threshold"):
+            MultiGpuSimulator(bad, num_gpus=2)
+
 
 class TestSingleGpuEquivalence:
     def test_one_gpu_matches_simulator(self):
