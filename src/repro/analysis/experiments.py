@@ -170,8 +170,9 @@ def table1() -> str:
 # Figure 1 -- oversubscription sensitivity (Baseline policy)
 # ---------------------------------------------------------------------------
 
-def figure1(scale: str = "small", subset=None, seed: int = 0,
-            jobs: int = 1, grid: GridOptions | None = None) -> SeriesResult:
+def figure1(scale: str = GridCell.scale, subset=None,
+            seed: int = GridCell.seed, jobs: int = 1,
+            grid: GridOptions | None = None) -> SeriesResult:
     """Runtime at none/125%/150% oversubscription, Baseline policy."""
     workloads = _workloads(subset)
     specs = [(label, w,
@@ -199,8 +200,9 @@ def figure1(scale: str = "small", subset=None, seed: int = 0,
 # Figure 2 -- per-page access distribution (fdtd, sssp)
 # ---------------------------------------------------------------------------
 
-def figure2(scale: str = "small", seed: int = 0, jobs: int = 1,
-            grid: GridOptions | None = None) -> dict[str, list[dict]]:
+def figure2(scale: str = GridCell.scale, seed: int = GridCell.seed,
+            jobs: int = 1, grid: GridOptions | None = None
+            ) -> dict[str, list[dict]]:
     """Per-allocation access histograms for fdtd and sssp.
 
     Returns, per workload, the allocation summary rows (name, pages,
@@ -233,8 +235,9 @@ def render_figure2(data: dict[str, list[dict]]) -> str:
 # Figure 3 -- access pattern over time (fdtd iters 2/4, sssp iters 3/5)
 # ---------------------------------------------------------------------------
 
-def figure3(scale: str = "small", seed: int = 0, jobs: int = 1,
-            grid: GridOptions | None = None) -> dict[str, list]:
+def figure3(scale: str = GridCell.scale, seed: int = GridCell.seed,
+            jobs: int = 1, grid: GridOptions | None = None
+            ) -> dict[str, list]:
     """Sampled (cycle, page) traces for selected iterations.
 
     Returns trace records for fdtd iterations 2 and 4 and sssp rounds
@@ -271,8 +274,9 @@ def render_figure3(data: dict[str, list]) -> str:
 # Figure 4 -- sensitivity to the static threshold ts
 # ---------------------------------------------------------------------------
 
-def figure4(scale: str = "small", subset=None, seed: int = 0,
-            jobs: int = 1, grid: GridOptions | None = None) -> SeriesResult:
+def figure4(scale: str = GridCell.scale, subset=None,
+            seed: int = GridCell.seed, jobs: int = 1,
+            grid: GridOptions | None = None) -> SeriesResult:
     """Always scheme at 125% oversubscription, ts in {8, 16, 32}."""
     workloads = _workloads(subset)
     specs = [(f"ts={ts}", w,
@@ -299,8 +303,9 @@ def figure4(scale: str = "small", subset=None, seed: int = 0,
 # Figure 5 -- no oversubscription
 # ---------------------------------------------------------------------------
 
-def figure5(scale: str = "small", subset=None, seed: int = 0,
-            jobs: int = 1, grid: GridOptions | None = None) -> SeriesResult:
+def figure5(scale: str = GridCell.scale, subset=None,
+            seed: int = GridCell.seed, jobs: int = 1,
+            grid: GridOptions | None = None) -> SeriesResult:
     """Baseline vs Always vs Adaptive with working sets that fit."""
     workloads = _workloads(subset)
     specs = [(label, w, GridCell(w, pol, NO_OVERSUB, scale, seed=seed))
@@ -325,8 +330,9 @@ def figure5(scale: str = "small", subset=None, seed: int = 0,
 # Figures 6 and 7 -- the headline oversubscription comparison
 # ---------------------------------------------------------------------------
 
-def figure6_7(scale: str = "small", subset=None, seed: int = 0,
-              jobs: int = 1, grid: GridOptions | None = None
+def figure6_7(scale: str = GridCell.scale, subset=None,
+              seed: int = GridCell.seed, jobs: int = 1,
+              grid: GridOptions | None = None
               ) -> tuple[SeriesResult, SeriesResult]:
     """All four schemes at 125% oversubscription (ts=8, p=8).
 
@@ -365,8 +371,9 @@ def figure6_7(scale: str = "small", subset=None, seed: int = 0,
 # Figure 8 -- sensitivity to the multiplicative penalty p
 # ---------------------------------------------------------------------------
 
-def figure8(scale: str = "small", subset=None, seed: int = 0,
-            penalties=(2, 4, 8, 1 << 20), jobs: int = 1,
+def figure8(scale: str = GridCell.scale, subset=None,
+            seed: int = GridCell.seed, penalties=(2, 4, 8, 1 << 20),
+            jobs: int = 1,
             grid: GridOptions | None = None) -> SeriesResult:
     """Adaptive scheme at 125% oversubscription, varying p."""
     workloads = _workloads(subset)

@@ -39,12 +39,15 @@ Commands
 ``list``
     Show available workloads, scales, policies and figures.
 
-``run``, ``sweep`` and ``serve`` also accept declarative YAML scenario
-configs (``--config scenario.yaml``; for ``sweep`` additionally
-``--config-dir configs/``) in place of flags -- see the ``configs/``
-library and ``docs/scenarios.md``.  Archived config-driven runs embed
-the fully resolved scenario in their manifest, so ``repro diff``
-explains them by scenario-key deltas.
+The knob flags are scenario keys: each is generated from its
+:data:`~repro.scenario.schema.SCHEMA` entry, and a command line is run
+as the scenario its flags describe.  ``run``, ``sweep`` and ``serve``
+also accept declarative YAML scenario configs (``--config
+scenario.yaml``; for ``sweep`` additionally ``--config-dir
+configs/``); every knob flag passed alongside overrides the matching
+scenario key.  See the ``configs/`` library and ``docs/scenarios.md``.
+Archived config-driven runs embed the fully resolved scenario in their
+manifest, so ``repro diff`` explains them by scenario-key deltas.
 
 The simulation commands (``run``, ``trace replay``) accept the
 observability flags ``--events out.jsonl[.gz]`` (structured event
@@ -62,43 +65,106 @@ are off by default and cost nothing when off.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from . import analysis
-from .analysis.parallel import EVICT_GRANULARITIES, GridCell
-from .config import (
-    MigrationPolicy,
-    PrefetcherKind,
-    ServeConfig,
-    SimulationConfig,
-)
+from .analysis.parallel import GridCell
+from .config import MigrationPolicy, SimulationConfig
 from .analysis.tables import format_table
+from .scenario import (SCHEMA, ScenarioError, build_cell, build_serve_config,
+                       build_sim_config, build_slo_config, expand, overlay,
+                       validate)
+from .scenario.schema import OWNERS
 from .sim.simulator import Simulator
 from .workloads import SCALES, make_workload, workload_names
 
 
-#: GridCell fields; the sim flags' dests are named after them.
-_CELL_FIELD_NAMES = frozenset(f.name for f in dataclasses.fields(GridCell))
+def _dest(key) -> str:
+    """The argparse dest of a schema key's flag (``--fault-rate`` ->
+    ``fault_rate``)."""
+    return key.flag[2:].replace("-", "_")
 
 
-def _build_config(args, **overrides) -> SimulationConfig:
-    """The config the sim flags (plus ``overrides``) describe.
+#: Knob flags by argparse dest -> the schema key each sets.
+_FLAG_KEYS = {_dest(key): key for key in SCHEMA.values() if key.flag}
 
-    The flags go straight to :meth:`GridCell.sim_config`, the builder
-    the grid and the scenario compiler use, so a flag run and the
-    equivalent scenario or grid cell simulate the same config.
+
+def _flag_value(key, value):
+    """A parsed flag value as its scenario key holds it: a list key's
+    flag is a comma-separated list (numeric items become numbers)."""
+    if list not in key.type:
+        return value
+    items = []
+    for item in (i.strip() for i in value.split(",")):
+        if item:
+            try:
+                items.append(float(item))
+            except ValueError:
+                items.append(item)
+    return items
+
+
+def _overlay_flags(args, scenario: dict, source: str) -> dict:
+    """``scenario`` with the explicitly passed knob flags set, validated.
+
+    Every knob flag defaults to ``None``, so a flag that was passed
+    always overrides the scenario's value and one that was not leaves
+    it alone.
     """
-    knobs = {k: v for k, v in vars(args).items() if k in _CELL_FIELD_NAMES}
-    knobs.update(overrides)
-    # ``trace replay`` and ``serve`` name no workload; the config does
-    # not depend on it.
-    knobs.setdefault("workload", None)
-    knobs["policy"] = MigrationPolicy(knobs["policy"])
+    flags = {}
+    for dest, key in _FLAG_KEYS.items():
+        value = getattr(args, dest, None)
+        if value is not None:
+            flags[key.path] = _flag_value(key, value)
     try:
-        cfg = GridCell(**knobs).sim_config()
-    except ValueError as exc:
-        raise SystemExit(f"repro: {exc}") from None
+        return validate(overlay(scenario, flags), source)
+    except ScenarioError as exc:
+        raise SystemExit(f"repro {args.command}: {exc}") from None
+
+
+def _scenario(args) -> dict:
+    """The scenario a command line describes.
+
+    The knob flags overlay the ``--config`` scenario, or
+    ``{workload: ...}`` when there is none (``serve`` and ``trace
+    replay`` name no workload), and then take the scenario route: flag
+    and config runs share one validator, one set of defaults and one
+    set of builders.
+    """
+    config = getattr(args, "config", None)
+    if config:
+        return _overlay_flags(
+            args, _load_scenario_file(config, args.command), config)
+    return _overlay_flags(args, {"workload": getattr(args, "workload", None)},
+                          "<command line>")
+
+
+def _knob(args, path: str):
+    """A knob flag's value, or its key's default when it was not passed
+    (for the commands that build no scenario: figure, sweep, trace)."""
+    value = getattr(args, _dest(SCHEMA[path]))
+    return SCHEMA[path].default if value is None else value
+
+
+def _compile(args, build, scenario: dict):
+    """``build(scenario)``, with compile errors as CLI exits."""
+    try:
+        return build(scenario)
+    except (ScenarioError, ValueError) as exc:
+        raise SystemExit(f"repro {args.command}: {exc}") from None
+
+
+def _build_config(args, scenario: dict | None = None) -> SimulationConfig:
+    """The config a command line (or its ``scenario``) describes.
+
+    Built by :func:`~repro.scenario.build_sim_config`, the builder the
+    scenario route and the grid use, so a flag run and the equivalent
+    scenario or grid cell simulate the same config; plus the CLI-only
+    ``--debug-invariants`` overlay.
+    """
+    if scenario is None:
+        scenario = _scenario(args)
+    cfg = _compile(args, build_sim_config, scenario)
     if args.debug_invariants:
         cfg = cfg.replace(debug_invariants=True)
     return cfg
@@ -172,8 +238,7 @@ def _make_obs(args):
 
 
 def _begin_archive(args, cfg, workload_name: str, obs,
-                   scenario: dict | None = None,
-                   scale: str | None = None,
+                   scenario: dict | None = None, scale: str = "-",
                    oversub: float | None = None):
     """Open a run-archive slot and stream the event log into it.
 
@@ -198,10 +263,7 @@ def _begin_archive(args, cfg, workload_name: str, obs,
     manifest = RunManifest.create(
         kind="run", workload=workload_name,
         policy=cfg.policy.policy.value,
-        scale=scale if scale is not None else getattr(args, "scale", "-"),
-        seed=cfg.seed,
-        oversubscription=(oversub if oversub is not None
-                          else getattr(args, "oversub", None)),
+        scale=scale, seed=cfg.seed, oversubscription=oversub,
         config=config, git=git_info(),
         scenario=scenario.get("name") if scenario is not None else None)
     writer = store.open_run(manifest)
@@ -291,53 +353,31 @@ def _run_scenario_batch(args, scenarios, command: str, jobs: int = 1,
     return 0
 
 
-def _cmd_run_config(args) -> int:
-    """``repro run --config scenario.yaml``."""
-    scenario = _load_scenario_file(args.config, "run")
+def cmd_run(args) -> int:
+    if args.config and args.workload is not None:
+        raise SystemExit("repro run: give either a workload or --config, "
+                         "not both")
+    if not args.config and args.workload is None:
+        raise SystemExit("repro run: a workload name or --config "
+                         "scenario.yaml is required")
+    scenario = _scenario(args)
     if scenario.get("mode", "run") != "run":
         # Sweeps, serve and multigpu scenarios still run (batch path,
         # compact output); the detailed single-run report below only
         # makes sense for one simulation.
         return _run_scenario_batch(args, [scenario], "run")
-    from .scenario import ScenarioError, build_cell, build_sim_config
-    try:
-        cell = build_cell(scenario)
-        cfg = build_sim_config(scenario)
-    except (ScenarioError, ValueError) as exc:
-        raise SystemExit(f"repro run: {exc}") from None
-    # CLI-only observability overlays compose with any config.
+    cell = _compile(args, build_cell, scenario)
+    cfg = _build_config(args, scenario)
+    # CLI-only observability overlay: composes with any config.
     if args.collect_histogram:
         cfg = cfg.replace(collect_page_histogram=True)
-    if args.debug_invariants:
-        cfg = cfg.replace(debug_invariants=True)
     wl = _make_workload(cell.workload, cell.scale)
     obs = _make_obs(args)
-    archive = _begin_archive(args, cfg, wl.name, obs, scenario=scenario,
+    archive = _begin_archive(args, cfg, wl.name, obs,
+                             scenario=scenario if args.config else None,
                              scale=cell.scale, oversub=cell.oversubscription)
     result = Simulator(cfg).run(wl, oversubscription=cell.oversubscription,
                                 obs=obs)
-    _print_summary(result)
-    _finish_obs(obs, args)
-    _finish_archive(archive, result, obs)
-    if args.collect_histogram:
-        _print_histogram(result)
-    return 0
-
-
-def cmd_run(args) -> int:
-    if args.config:
-        if args.workload is not None:
-            raise SystemExit("repro run: give either a workload or "
-                             "--config, not both")
-        return _cmd_run_config(args)
-    if args.workload is None:
-        raise SystemExit("repro run: a workload name or --config "
-                         "scenario.yaml is required")
-    cfg = _build_config(args)
-    wl = _make_workload(args.workload, args.scale)
-    obs = _make_obs(args)
-    archive = _begin_archive(args, cfg, wl.name, obs)
-    result = Simulator(cfg).run(wl, oversubscription=args.oversub, obs=obs)
     _print_summary(result)
     _finish_obs(obs, args)
     _finish_archive(archive, result, obs)
@@ -358,11 +398,15 @@ def _print_histogram(result) -> None:
 
 
 def cmd_compare(args) -> int:
+    scenario = _scenario(args)
+    cell = _compile(args, build_cell, scenario)
     results = {}
     for pol in MigrationPolicy:
-        cfg = _build_config(args, policy=pol)
-        wl = _make_workload(args.workload, args.scale)
-        results[pol] = Simulator(cfg).run(wl, oversubscription=args.oversub)
+        cfg = _build_config(
+            args, overlay(scenario, {"policy.variant": pol.value}))
+        wl = _make_workload(cell.workload, cell.scale)
+        results[pol] = Simulator(cfg).run(
+            wl, oversubscription=cell.oversubscription)
     base = results[MigrationPolicy.DISABLED]
     rows = []
     for pol, r in results.items():
@@ -374,7 +418,7 @@ def cmd_compare(args) -> int:
     print(format_table(
         ["policy", "runtime (ms)", "vs baseline", "faults", "remote",
          "thrash"],
-        rows, title=f"== {args.workload} @ {args.oversub:.0%} "
+        rows, title=f"== {cell.workload} @ {cell.oversubscription:.0%} "
                     f"of device memory =="))
     return 0
 
@@ -410,6 +454,7 @@ _FIGURES.update({
 
 def cmd_figure(args) -> int:
     ids = sorted(_FIGURES) if args.id == "all" else [args.id]
+    scale = _knob(args, "scale")
     grid = _grid_options(args)
     chunks = []
     for fid in ids:
@@ -418,9 +463,9 @@ def cmd_figure(args) -> int:
             if series is None:
                 raise SystemExit(
                     f"--csv is only available for bar figures, not {fid!r}")
-            chunks.append(series(args.scale, args.jobs, grid).to_csv())
+            chunks.append(series(scale, args.jobs, grid).to_csv())
         else:
-            chunks.append(_FIGURES[fid](args.scale, args.jobs, grid))
+            chunks.append(_FIGURES[fid](scale, args.jobs, grid))
     text = "\n\n".join(chunks) if not args.csv else "".join(chunks)
     print(text)
     if args.out:
@@ -433,14 +478,15 @@ def cmd_figure(args) -> int:
 
 def _cmd_sweep_config(args) -> int:
     """``repro sweep --config-dir DIR`` / ``--config scenario.yaml``."""
-    from .scenario import ScenarioError, load_directory
+    from .scenario import load_directory
     if args.config_dir:
         try:
-            scenarios = load_directory(args.config_dir)
+            scenarios = [_overlay_flags(args, s, s["name"])
+                         for s in load_directory(args.config_dir)]
         except ScenarioError as exc:
             raise SystemExit(f"repro sweep: {exc}") from None
     else:
-        scenarios = [_load_scenario_file(args.config, "sweep")]
+        scenarios = [_scenario(args)]
     grid = _grid_options(args)
     status = _run_scenario_batch(args, scenarios, "sweep", jobs=args.jobs,
                                  grid=grid)
@@ -468,8 +514,9 @@ def cmd_sweep(args) -> int:
         except ValueError as exc:
             raise SystemExit(f"repro sweep: {exc}") from None
         res = analysis.fault_rate_sweep(
-            args.workload, policy=policy, rates=rates, scale=args.scale,
-            seed=args.seed, jobs=args.jobs, grid=grid)
+            args.workload, policy=policy, rates=rates,
+            scale=_knob(args, "scale"), seed=_knob(args, "seed"),
+            jobs=args.jobs, grid=grid)
         print(res.render())
         _finish_grid_metrics(grid, args)
         return 0
@@ -480,8 +527,9 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise SystemExit(f"repro sweep: {exc}") from None
     res = analysis.oversubscription_sweep(
-        args.workload, policies=policies, levels=levels, scale=args.scale,
-        seed=args.seed, jobs=args.jobs, grid=grid)
+        args.workload, policies=policies, levels=levels,
+        scale=_knob(args, "scale"), seed=_knob(args, "seed"),
+        jobs=args.jobs, grid=grid)
     print(res.render())
     _finish_grid_metrics(grid, args)
     return 0
@@ -490,8 +538,9 @@ def cmd_sweep(args) -> int:
 def cmd_trace(args) -> int:
     from .trace import TraceWorkload, record_trace, save_trace
     if args.trace_cmd == "record":
-        data = record_trace(_make_workload(args.workload, args.scale),
-                            seed=args.seed)
+        data = record_trace(
+            _make_workload(args.workload, _knob(args, "scale")),
+            seed=_knob(args, "seed"))
         path = save_trace(data, args.output)
         print(f"recorded {data.num_waves} waves / "
               f"{data.num_accesses} accesses to {path}")
@@ -500,8 +549,9 @@ def cmd_trace(args) -> int:
     cfg = _build_config(args)
     obs = _make_obs(args)
     wl = TraceWorkload(args.input)
-    archive = _begin_archive(args, cfg, wl.name, obs)
-    result = Simulator(cfg).run(wl, oversubscription=args.oversub, obs=obs)
+    oversub = _knob(args, "oversubscription")
+    archive = _begin_archive(args, cfg, wl.name, obs, oversub=oversub)
+    result = Simulator(cfg).run(wl, oversubscription=oversub, obs=obs)
     _print_summary(result)
     _finish_obs(obs, args)
     _finish_archive(archive, result, obs)
@@ -585,107 +635,45 @@ def _print_serve_summary(result) -> None:
         rows, title="-- per-tenant lifecycle"))
 
 
-def _load_slo_config(args):
-    """Parse ``--slo-config FILE`` into an :class:`SloConfig` or None.
+def _slo_config(data: dict, source: str):
+    """The :class:`~repro.obs.live.slo.SloConfig` an ``--slo-config``
+    mapping states, or ``None`` when it states no objective.
 
-    The file is a YAML mapping of ``slo.*`` keys, either flat
-    (``slo.p99_latency_us: 300``), bare (``p99_latency_us: 300``), or
-    nested under a ``slo:`` section -- the same keys a ``mode: serve``
-    scenario accepts.
+    Keys may be bare (``p99_latency_us: 300``), dotted
+    (``slo.p99_latency_us: 300``) or nested under an ``slo:`` section --
+    the keys a ``mode: serve`` scenario takes, validated by the schema
+    and built by :func:`~repro.scenario.build_slo_config`.
     """
+    scenario = {"mode": "serve"}
+    for key, value in data.items():
+        if key != "slo" and not key.startswith("slo."):
+            key = f"slo.{key}"
+        scenario[key] = value
+    return build_slo_config(validate(scenario, source))
+
+
+def _load_slo_config(args):
+    """Parse ``--slo-config FILE`` into an :class:`SloConfig` or None."""
     path = getattr(args, "slo_config", None)
     if path is None:
         return None
     from pathlib import Path
-    from .obs.live.slo import SloConfig
     from .scenario.loader import _load_yaml
-    from .scenario.schema import ScenarioError
     try:
-        data = _load_yaml(Path(path))
-    except ScenarioError as exc:
+        config = _slo_config(_load_yaml(Path(path)), path)
+    except (ScenarioError, ValueError) as exc:
         raise SystemExit(f"repro serve: --slo-config: {exc}") from None
-    if isinstance(data.get("slo"), dict):
-        data = data["slo"]
-    try:
-        config = SloConfig.from_dict(data)
-    except (TypeError, ValueError) as exc:
-        raise SystemExit(f"repro serve: --slo-config {path}: "
-                         f"{exc}") from None
-    if not config.enabled:
+    if config is None:
         raise SystemExit(f"repro serve: --slo-config {path} sets no "
                          "objective (need at least one of p99_latency_us, "
                          "max_shed_rate, min_throughput)")
     return config
 
 
-def _parse_weights(spec):
-    """Parse a ``--weights`` comma list into a float tuple."""
-    try:
-        weights = tuple(float(w.strip())
-                        for w in spec.split(",") if w.strip())
-    except ValueError:
-        raise SystemExit(
-            f"repro serve: --weights expects comma-separated numbers, "
-            f"got {spec!r}") from None
-    return weights
-
-
-#: ServeConfig fields whose ``repro serve`` flag has another dest.
-_SERVE_DESTS = {"duration_ms": "duration", "burst_len_ms": "burst_len",
-                "calm_len_ms": "calm_len", "workload_mix": "mix"}
-
-#: The serve flags a ``--config`` run overlays onto its scenario.
-_LIVE_FLAGS = ("live_admission", "live_thrash_threshold", "window_ms",
-               "scheduler", "weights", "throttle_decay")
-
-
-def _serve_flags(args, names) -> dict:
-    """``{ServeConfig field: value}`` for the flags among ``names``.
-
-    A flag's default is its field's default, or ``None`` for the ones a
-    ``--config`` run overlays; a ``None`` flag is left out, so the
-    field keeps its default.
-    """
-    values = {}
-    for name in names:
-        value = getattr(args, _SERVE_DESTS.get(name, name))
-        if value is None:
-            continue
-        if name == "weights":
-            value = _parse_weights(value)
-        elif name == "workload_mix":
-            value = _parse_mix(value)
-        values[name] = value
-    return values
-
-
-def _parse_mix(spec) -> tuple[str, ...]:
-    """Parse a ``--mix`` comma list, rejecting unknown workloads."""
-    mix = tuple(w.strip() for w in spec.split(",") if w.strip())
-    known = workload_names(extended=True)
-    for name in mix:
-        if name not in known:
-            raise SystemExit(f"repro serve: unknown workload {name!r} in "
-                             f"--mix; available: {', '.join(known)}")
-    return mix
-
-
-def _apply_live_flags(args, serve_cfg):
-    """Overlay explicitly-passed serve flags onto a scenario config
-    (``--live-admission`` / ``--window-ms`` / scheduler family)."""
-    updates = _serve_flags(args, _LIVE_FLAGS)
-    if not updates:
-        return serve_cfg
-    return dataclasses.replace(serve_cfg, **updates).validate()
-
-
-def _cmd_serve_config(args) -> int:
-    """``repro serve --config scenario.yaml``."""
+def cmd_serve(args) -> int:
     from .serve import ServeSession
-    from .scenario import (ScenarioError, build_serve_config,
-                           build_sim_config, expand)
-    scenario = _load_scenario_file(args.config, "serve")
-    if scenario.get("mode", "run") != "serve":
+    scenario = _scenario(args)
+    if args.config and scenario.get("mode", "run") != "serve":
         raise SystemExit(
             f"repro serve: {scenario.get('name')} has mode "
             f"{scenario.get('mode', 'run')!r}; `repro serve --config` "
@@ -695,56 +683,19 @@ def _cmd_serve_config(args) -> int:
     if len(variants) > 1:
         # A swept serve scenario: batch path with one row per variant.
         return _run_scenario_batch(args, [scenario], "serve")
-    from .scenario import build_slo_config
-    try:
-        serve_cfg = build_serve_config(variants[0].data)
-        sim_cfg = build_sim_config(variants[0].data)
-        slo = build_slo_config(variants[0].data)
-    except (ScenarioError, ValueError) as exc:
-        raise SystemExit(f"repro serve: {exc}") from None
-    serve_cfg = _apply_live_flags(args, serve_cfg)
-    # --slo-config on the command line overrides the scenario's slo:
-    # section wholesale (objectives are not merged key-by-key).
-    flag_slo = _load_slo_config(args)
-    if flag_slo is not None:
-        slo = flag_slo
+    data = variants[0].data
+    serve_cfg = _compile(args, build_serve_config, data)
+    sim_cfg = _build_config(args, data)
+    # --slo-config overrides the scenario's slo: section wholesale
+    # (objectives are not merged key-by-key).
+    slo = _load_slo_config(args) or _compile(args, build_slo_config, data)
     obs = _make_obs(args)
-    archive = _begin_serve_archive(args, serve_cfg, sim_cfg, obs,
-                                   scenario=scenario)
+    archive = _begin_serve_archive(
+        args, serve_cfg, sim_cfg, obs,
+        scenario=scenario if args.config else None)
     try:
         result = ServeSession(serve_cfg, sim_config=sim_cfg, obs=obs,
                               scenario=scenario.get("name"),
-                              slo=slo).run()
-    except ValueError as exc:
-        raise SystemExit(f"repro serve: {exc}") from None
-    if args.json:
-        import json as _json
-        print(_json.dumps(result.as_dict(), indent=2, sort_keys=True))
-    else:
-        _print_serve_summary(result)
-    _finish_obs(obs, args)
-    if archive is not None:
-        metrics = obs.metrics.as_dict() if obs.metrics is not None else None
-        run_id = archive.commit_dict(result.as_dict(), metrics=metrics)
-        print(f"[archived as {run_id}; list with `repro runs`]")
-    return 0
-
-
-def cmd_serve(args) -> int:
-    from .serve import ServeSession
-    if args.config:
-        return _cmd_serve_config(args)
-    sim_cfg = _build_config(args)
-    fields = [f.name for f in dataclasses.fields(ServeConfig)]
-    try:
-        serve_cfg = ServeConfig(**_serve_flags(args, fields)).validate()
-    except ValueError as exc:
-        raise SystemExit(f"repro serve: {exc}") from None
-    slo = _load_slo_config(args)
-    obs = _make_obs(args)
-    archive = _begin_serve_archive(args, serve_cfg, sim_cfg, obs)
-    try:
-        result = ServeSession(serve_cfg, sim_config=sim_cfg, obs=obs,
                               slo=slo).run()
     except ValueError as exc:
         raise SystemExit(f"repro serve: {exc}") from None
@@ -901,64 +852,41 @@ def _workload_arg(name: str) -> str:
     return name
 
 
-def _add_sim_args(p, with_oversub=True) -> None:
-    """Table-I flags; each dest and default is the GridCell field's."""
-    p.add_argument("--policy", default=GridCell.policy.value,
-                   choices=[m.value for m in MigrationPolicy])
-    p.add_argument("--ts", type=int, default=GridCell.ts,
-                   help="static access counter threshold")
-    p.add_argument("--penalty", dest="p", type=int, default=GridCell.p,
-                   metavar="PENALTY",
-                   help="multiplicative migration penalty p")
-    p.add_argument("--seed", type=int, default=GridCell.seed)
-    p.add_argument("--evict", choices=tuple(EVICT_GRANULARITIES),
-                   default=GridCell.evict, help="eviction granularity")
-    p.add_argument("--prefetcher", default=GridCell.prefetcher,
-                   choices=[k.value for k in PrefetcherKind])
-    p.add_argument("--prefetch-degree", type=int,
-                   default=GridCell.prefetch_degree)
-    p.add_argument("--fault-rate", dest="transfer_fault_rate", type=float,
-                   default=GridCell.transfer_fault_rate, metavar="FAULT_RATE",
-                   help="probability of an injected transient PCIe "
-                        "transfer fault per migration attempt")
-    p.add_argument("--migration-fault-rate", type=float,
-                   default=GridCell.migration_fault_rate,
-                   help="probability of an injected device allocation "
-                        "fault per migration attempt")
-    p.add_argument("--fault-retries", type=int,
-                   default=GridCell.fault_retries,
-                   help="driver retries before degrading a faulted "
-                        "migration to remote zero-copy access")
-    p.add_argument("--fault-burst-on", type=float,
-                   default=GridCell.fault_burst_on, metavar="PROB",
-                   help="per-migration probability of entering a "
-                        "correlated fault storm that multiplies both "
-                        "fault rates (0 = uncorrelated faults only)")
-    p.add_argument("--fault-burst-off", type=float,
-                   default=GridCell.fault_burst_off, metavar="PROB",
-                   help="per-migration probability of a fault storm "
-                        "ending")
-    p.add_argument("--fault-burst-mult", type=float,
-                   default=GridCell.fault_burst_mult, metavar="X",
-                   help="fault-rate multiplier while a storm is active")
+#: Flagged keys of the run surface: the Table-I knobs every simulation
+#: command (``run``, ``compare``, ``trace replay``, ``serve``) takes.
+_SIM_KNOBS = tuple(path for path, key in SCHEMA.items()
+                   if key.flag and OWNERS[key.section] is GridCell)
+
+#: Flagged ``serve.*`` keys.
+_SERVE_KNOBS = tuple(path for path, key in SCHEMA.items()
+                     if key.flag and key.section == "serve")
+
+
+def _add_knob_flags(p, paths) -> None:
+    """Add the flag of each schema key in ``paths``.
+
+    Type, choices, metavar and help all come from the key.  Every
+    default is ``None``: a flag that is not passed leaves its key unset,
+    so it keeps the scenario's value, or else the config default.
+    """
+    for path in paths:
+        key = SCHEMA[path]
+        kwargs = {"help": key.description.replace("%", "%%")}
+        if bool in key.type:
+            kwargs["action"] = "store_true"
+        else:
+            kwargs["type"] = (float if float in key.type
+                              else int if int in key.type else None)
+            kwargs.update(choices=key.choices, metavar=key.metavar)
+        p.add_argument(key.flag, default=None, **kwargs)
+
+
+def _add_sim_args(p, skip=()) -> None:
+    """The Table-I knob flags plus the CLI-only invariant checker."""
+    _add_knob_flags(p, [path for path in _SIM_KNOBS if path not in skip])
     p.add_argument("--debug-invariants", action="store_true",
                    help="check residency/capacity accounting after "
                         "every wave (slow; for debugging)")
-    _add_backend_args(p)
-    if with_oversub:
-        p.add_argument("--oversub", type=float,
-                       default=GridCell.oversubscription,
-                       help="working set as a fraction of device memory "
-                            "(1.25 = 125%% oversubscription)")
-
-
-def _add_backend_args(p) -> None:
-    """Kernel-backend flags shared by simulation and grid commands."""
-    from .config import KNOWN_BACKENDS
-    p.add_argument("--backend", default=None, choices=KNOWN_BACKENDS,
-                   help="hot-loop kernel backend (default: $REPRO_BACKEND "
-                        "or python; 'numba' falls back to python with a "
-                        "warning when numba is not installed)")
 
 
 def _add_obs_args(p) -> None:
@@ -1027,7 +955,7 @@ def _add_grid_args(p) -> None:
                         "replay it memory-mapped in every grid cell "
                         "(bit-identical results, much less per-cell "
                         "generation work)")
-    _add_backend_args(p)
+    _add_knob_flags(p, ["backend"])
     _add_runs_arg(p)
 
 
@@ -1043,10 +971,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="workload name (see `repro list`); omit when "
                         "using --config")
     p.add_argument("--config", default=None, metavar="YAML",
-                   help="run a declarative scenario config instead of "
-                        "flags (see docs/scenarios.md; flags other than "
-                        "the observability ones are ignored)")
-    p.add_argument("--scale", default=GridCell.scale, choices=SCALES)
+                   help="run a declarative scenario config (see "
+                        "docs/scenarios.md); knob flags given with it "
+                        "override its keys")
     p.add_argument("--histogram", dest="collect_histogram",
                    action="store_true",
                    help="collect per-allocation access histograms")
@@ -1057,13 +984,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="all four policies on one workload")
     p.add_argument("workload", type=_workload_arg,
                    help="workload name (see `repro list`)")
-    p.add_argument("--scale", default=GridCell.scale, choices=SCALES)
     _add_sim_args(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("figure", help="regenerate a paper table/figure")
     p.add_argument("id", choices=sorted(_FIGURES) + ["all"])
-    p.add_argument("--scale", default=GridCell.scale, choices=SCALES)
+    _add_knob_flags(p, ["scale"])
     p.add_argument("--jobs", type=_jobs_arg, default=1,
                    help="worker processes for the experiment grid "
                         "(0 = one per CPU, 1 = serial)")
@@ -1080,13 +1006,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "using --config/--config-dir")
     p.add_argument("--config", default=None, metavar="YAML",
                    help="run one declarative scenario config "
-                        "(sweep axes expand to the experiment grid)")
+                        "(sweep axes expand to the experiment grid); "
+                        "knob flags given with it override its keys")
     p.add_argument("--config-dir", default=None, metavar="DIR",
                    help="run every scenario in a config directory "
                         "(files starting with '_' are inheritance "
                         "bases and are skipped); all grid cells share "
                         "one worker pool")
-    p.add_argument("--scale", default=GridCell.scale, choices=SCALES)
+    _add_knob_flags(p, ["scale", "seed"])
     p.add_argument("--levels",
                    default=",".join(str(l) for l in analysis.DEFAULT_LEVELS),
                    help="comma-separated oversubscription levels")
@@ -1096,7 +1023,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep injected transient-fault rates instead of "
                         "oversubscription levels (comma-separated; uses "
                         "the first --policies entry)")
-    p.add_argument("--seed", type=int, default=GridCell.seed)
     p.add_argument("--jobs", type=_jobs_arg, default=1,
                    help="worker processes for the sweep grid "
                         "(0 = one per CPU, 1 = serial)")
@@ -1108,84 +1034,22 @@ def build_parser() -> argparse.ArgumentParser:
     pr = tsub.add_parser("record")
     pr.add_argument("workload", type=_workload_arg,
                     help="workload name (see `repro list`)")
-    pr.add_argument("--scale", default=GridCell.scale, choices=SCALES)
-    pr.add_argument("--seed", type=int, default=GridCell.seed)
+    _add_knob_flags(pr, ["scale", "seed"])
     pr.add_argument("-o", "--output", required=True)
     pr.set_defaults(func=cmd_trace)
     pp = tsub.add_parser("replay")
     pp.add_argument("-i", "--input", required=True)
-    _add_sim_args(pp)
+    _add_sim_args(pp, skip=["scale"])
     _add_obs_args(pp)
     pp.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("serve", help="multi-tenant open-loop serving run")
-    from .config import KNOWN_ARRIVAL_PROCESSES, KNOWN_SCHEDULERS
     p.add_argument("--config", default=None, metavar="YAML",
-                   help="run a mode: serve scenario config instead of "
-                        "flags (see docs/scenarios.md)")
-    p.add_argument("--arrival-rate", type=float,
-                   default=ServeConfig.arrival_rate, metavar="PER_S",
-                   help="tenant arrivals per second of simulated time "
-                        "(open loop: arrivals never wait for service)")
-    p.add_argument("--tenants", type=int, default=ServeConfig.tenants,
-                   help="number of tenant arrivals to generate")
-    p.add_argument("--duration", type=float,
-                   default=ServeConfig.duration_ms, metavar="MS",
-                   help="arrival window in simulated milliseconds "
-                        "(default: cut by --tenants alone)")
-    p.add_argument("--process", default=ServeConfig.process,
-                   choices=KNOWN_ARRIVAL_PROCESSES,
-                   help="arrival process (bursty = Markov-modulated "
-                        "Poisson with calm/burst sojourns)")
-    p.add_argument("--burst-factor", type=float,
-                   default=ServeConfig.burst_factor,
-                   help="arrival-rate multiplier inside a burst "
-                        "(bursty process only)")
-    p.add_argument("--burst-len", type=float,
-                   default=ServeConfig.burst_len_ms, metavar="MS",
-                   help="mean burst-state sojourn in simulated ms")
-    p.add_argument("--calm-len", type=float,
-                   default=ServeConfig.calm_len_ms, metavar="MS",
-                   help="mean calm-state sojourn in simulated ms")
-    p.add_argument("--mix", default=",".join(ServeConfig.workload_mix),
-                   help="comma-separated workloads tenants are drawn "
-                        "from (seeded uniform choice)")
-    p.add_argument("--scale", default=ServeConfig.scale, choices=SCALES)
-    p.add_argument("--capacity-mb", type=int, default=ServeConfig.capacity_mb,
-                   help="shared device memory capacity in MB")
-    p.add_argument("--admit-watermark", type=float,
-                   default=ServeConfig.admit_watermark,
-                   help="projected live oversubscription up to which "
-                        "arrivals are admitted immediately")
-    p.add_argument("--shed-watermark", type=float,
-                   default=ServeConfig.shed_watermark,
-                   help="projected oversubscription past which an "
-                        "arrival is shed outright")
-    p.add_argument("--throttle-watermark", type=float,
-                   default=ServeConfig.throttle_watermark,
-                   help="live oversubscription at which the heaviest-"
-                        "thrashing tenant's stream is suspended")
-    p.add_argument("--queue-depth", type=int, default=ServeConfig.queue_depth,
-                   help="bounded admission queue depth (full = shed)")
-    p.add_argument("--quantum", type=int, default=ServeConfig.quantum,
-                   help="waves per runnable tenant per scheduler round")
-    p.add_argument("--throttle-rounds", type=int,
-                   default=ServeConfig.throttle_rounds,
-                   help="scheduler rounds a throttled tenant sits out")
-    p.add_argument("--scheduler", default=None,
-                   choices=KNOWN_SCHEDULERS,
-                   help="wave scheduler: round_robin (legacy quantum "
-                        "rotation, the default) or drr (deficit-"
-                        "weighted fair queuing; throttling decays the "
-                        "weight instead of suspending the stream)")
-    p.add_argument("--weights", default=None, metavar="W1,W2,...",
-                   help="comma-separated drr fair-share weights; tenant "
-                        "i gets weight i mod len (default: equal "
-                        "shares)")
-    p.add_argument("--throttle-decay", type=float, default=None,
-                   metavar="FACTOR",
-                   help="drr weight multiplier while a tenant is "
-                        f"throttled (default {ServeConfig.throttle_decay})")
+                   help="run a mode: serve scenario config (see "
+                        "docs/scenarios.md); every knob flag given with "
+                        "it overrides the scenario's key, and flags not "
+                        "given keep the scenario's values")
+    _add_knob_flags(p, _SERVE_KNOBS)
     p.add_argument("--json", action="store_true",
                    help="print the full serve result as JSON")
     p.add_argument("--slo-config", default=None, metavar="YAML",
@@ -1193,21 +1057,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "p99_latency_us, max_shed_rate, min_throughput, "
                         "...); enables the streaming SLO engine and "
                         "alerting (overrides a scenario's slo: section)")
-    p.add_argument("--live-admission", action="store_true", default=None,
-                   help="let the degradation ladder consume live "
-                        "windowed interference telemetry (EWMA thrash "
-                        "pressure) instead of cumulative attribution "
-                        "alone; off by default (off = bit-identical to "
-                        "the telemetry-free path)")
-    p.add_argument("--live-thrash-threshold", type=float, default=None,
-                   metavar="RATE",
-                   help="EWMA thrash migrations per wave at which "
-                        "--live-admission engages the throttle "
-                        f"(default {ServeConfig.live_thrash_threshold})")
-    p.add_argument("--window-ms", type=float, default=None,
-                   help="tumbling telemetry window width in simulated "
-                        f"milliseconds (default {ServeConfig.window_ms})")
-    _add_sim_args(p, with_oversub=False)
+    _add_sim_args(p, skip=["oversubscription"])
     _add_obs_args(p)
     p.set_defaults(func=cmd_serve)
 

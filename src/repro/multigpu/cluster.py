@@ -93,9 +93,9 @@ class MultiGpuSimulator:
                  num_gpus: int = 2, throttle: float = 1.0,
                  partition: str = "chunk") -> None:
         if num_gpus < 1:
-            raise ValueError("need at least one GPU")
+            raise ValueError(f"need at least one GPU, got {num_gpus}")
         if not 0.0 < throttle <= 1.0:
-            raise ValueError("throttle must be in (0, 1]")
+            raise ValueError(f"throttle must be in (0, 1], got {throttle}")
         if partition not in KNOWN_PARTITIONS:
             raise ValueError(f"unknown partition strategy {partition!r}; "
                              f"choose from {KNOWN_PARTITIONS}")

@@ -23,7 +23,7 @@ shipped scenario library lives in ``configs/``; the cookbook is
 from .compile import (MultiGpuSpec, Variant, build_cell,
                       build_multigpu_spec, build_serve_config,
                       build_sim_config, build_slo_config, compile_check,
-                      expand)
+                      expand, overlay)
 from .loader import (deep_merge, is_base, load_directory, load_scenario,
                      scenario_files)
 from .runner import ScenarioOutcome, VariantOutcome, run_scenarios
@@ -35,6 +35,6 @@ __all__ = [
     "scenario_files",
     "MultiGpuSpec", "Variant", "build_cell", "build_multigpu_spec",
     "build_serve_config", "build_sim_config", "build_slo_config",
-    "compile_check", "expand",
+    "compile_check", "expand", "overlay",
     "ScenarioOutcome", "VariantOutcome", "run_scenarios",
 ]

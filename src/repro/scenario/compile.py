@@ -18,29 +18,32 @@ surfaces:
 * :func:`build_multigpu_spec` -> :class:`MultiGpuSpec` (mode
   ``multigpu``), including the Section VIII throttle knob.
 
-Each builder maps schema paths through one ``path -> (field,
-coercion)`` table and passes only the keys a scenario sets, so an
-omitted key keeps its dataclass default -- the same default the
-matching CLI flag has (``backend`` keeps honouring ``REPRO_BACKEND``).
-A config-built cell is therefore *equal* to the flag-built one, the
-bit-identity contract the property tests pin.  The same tables stamp
-the schema's documented defaults.
+Each builder passes its constructor the ``field`` of every schema key
+the scenario sets (coerced by the key's declared type), so an omitted
+key keeps its dataclass default (``backend`` keeps honouring
+``REPRO_BACKEND``).  The CLI's knob flags are schema keys too: a flag
+invocation is a scenario (:func:`overlay` puts the flags over the
+``--config`` scenario) built by these same functions, so a
+config-built cell is *equal* to the flag-built one -- the bit-identity
+contract the property tests pin.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import enum
+import inspect
 import itertools
 from dataclasses import dataclass
 
 from ..analysis.parallel import GridCell
-from ..config import MigrationPolicy, ServeConfig, SimulationConfig
+from ..config import ServeConfig, SimulationConfig
+from ..multigpu.cluster import MultiGpuSimulator
 from ..obs.live.slo import SloConfig
-from .schema import SCHEMA, ScenarioError, flatten
+from .schema import OWNERS, SCHEMA, ScenarioError, flatten
 
 __all__ = ["expand", "build_cell", "build_serve_config",
            "build_sim_config", "build_multigpu_spec", "build_slo_config",
-           "compile_check", "MultiGpuSpec", "Variant"]
+           "compile_check", "overlay", "MultiGpuSpec", "Variant"]
 
 
 @dataclass(frozen=True)
@@ -98,80 +101,45 @@ def expand(scenario: dict) -> list[Variant]:
     return variants
 
 
-#: Run-surface schema path -> (GridCell field, coercion).  ``workload``
-#: is required and handled by :func:`build_cell` itself.
-_CELL_FIELDS = {
-    "scale": ("scale", str),
-    "oversubscription": ("oversubscription", float),
-    "seed": ("seed", int),
-    "backend": ("backend", str),
-    "policy.variant": ("policy", MigrationPolicy),
-    "policy.static_threshold": ("ts", int),
-    "policy.migration_penalty": ("p", int),
-    "policy.threshold_variant": ("threshold_variant", str),
-    "policy.historic_counters": ("historic_counters", bool),
-    "memory.eviction": ("evict", str),
-    "memory.prefetcher": ("prefetcher", str),
-    "memory.prefetch_degree": ("prefetch_degree", int),
-    "faults.transfer_rate": ("transfer_fault_rate", float),
-    "faults.migration_rate": ("migration_fault_rate", float),
-    "faults.max_retries": ("fault_retries", int),
-    "faults.burst_on": ("fault_burst_on", float),
-    "faults.burst_off": ("fault_burst_off", float),
-    "faults.burst_multiplier": ("fault_burst_mult", float),
-}
+def overlay(scenario: dict, flat: dict) -> dict:
+    """``scenario`` with every ``{path: value}`` of ``flat`` set.
 
-#: ``serve.*`` schema path -> (ServeConfig field, coercion).
-_SERVE_FIELDS = {
-    "serve.arrival_rate": ("arrival_rate", float),
-    "serve.tenants": ("tenants", int),
-    "serve.duration_ms": ("duration_ms", float),
-    "serve.process": ("process", str),
-    "serve.burst_factor": ("burst_factor", float),
-    "serve.burst_len_ms": ("burst_len_ms", float),
-    "serve.calm_len_ms": ("calm_len_ms", float),
-    "serve.workload_mix": ("workload_mix", tuple),
-    "serve.capacity_mb": ("capacity_mb", int),
-    "serve.admit_watermark": ("admit_watermark", float),
-    "serve.shed_watermark": ("shed_watermark", float),
-    "serve.throttle_watermark": ("throttle_watermark", float),
-    "serve.queue_depth": ("queue_depth", int),
-    "serve.quantum": ("quantum", int),
-    "serve.throttle_rounds": ("throttle_rounds", int),
-    "serve.live_admission": ("live_admission", bool),
-    "serve.live_thrash_threshold": ("live_thrash_threshold", float),
-    "serve.window_ms": ("window_ms", float),
-    "serve.scheduler": ("scheduler", str),
-    "serve.weights": ("weights", lambda v: tuple(float(w) for w in v)),
-    "serve.throttle_decay": ("throttle_decay", float),
-}
-
-#: ``slo.*`` schema path -> (SloConfig field, coercion).
-_SLO_FIELDS = {
-    "slo.p99_latency_us": ("p99_latency_us", float),
-    "slo.latency_attainment": ("latency_attainment", float),
-    "slo.max_shed_rate": ("max_shed_rate", float),
-    "slo.min_throughput": ("min_throughput", float),
-    "slo.fast_windows": ("fast_windows", int),
-    "slo.slow_windows": ("slow_windows", int),
-    "slo.burn_threshold": ("burn_threshold", float),
-}
-
-#: ``multigpu.*`` schema path -> (MultiGpuSpec field, coercion).
-_MULTIGPU_FIELDS = {
-    "multigpu.gpus": ("gpus", int),
-    "multigpu.partition": ("partition", str),
-    "multigpu.throttle": ("throttle", float),
-}
+    A set path overrides the scenario's value and leaves its ``sweep:``
+    axes (a swept path pinned this way is no longer swept), so the
+    result describes exactly what runs.  The input is not modified.
+    """
+    data = _deep_copy(scenario)
+    axes = data.get("sweep")
+    for path, value in flat.items():
+        if "." in path:
+            data.pop(path, None)  # the path's top-level dotted spelling
+        _set_path(data, path, value)
+        if isinstance(axes, dict):
+            axes.pop(path, None)
+    if axes == {}:
+        del data["sweep"]
+    return data
 
 
-def _set_fields(flat: dict, table: dict) -> dict:
-    """Coerced ``{field: value}`` for the keys of ``table`` the scenario
-    sets (an explicit ``null`` counts as unset), so every omitted key
-    keeps its dataclass default."""
-    return {name: coerce(flat[path])
-            for path, (name, coerce) in table.items()
-            if flat.get(path) is not None}
+def _fields(flat: dict, owner) -> dict:
+    """Coerced ``{field: value}`` of the keys the scenario sets that
+    ``owner`` takes: its sections' keys plus the top-level keys it has a
+    field for.  An explicit ``null`` counts as unset, so every omitted
+    key keeps the owner's default."""
+    params = inspect.signature(owner).parameters
+    kwargs = {}
+    for path, key in SCHEMA.items():
+        value = flat.get(path)
+        if value is None or key.field not in params:
+            continue
+        if key.section and OWNERS[key.section] is not owner:
+            continue
+        value = key.coerce(value)
+        default = params[key.field].default
+        if isinstance(default, enum.Enum):
+            value = type(default)(value)
+        kwargs[key.field] = value
+    return kwargs
 
 
 def build_cell(variant: dict) -> GridCell:
@@ -182,12 +150,11 @@ def build_cell(variant: dict) -> GridCell:
     built from CLI flags that omitted the matching flags.
     """
     flat = flatten(variant)
-    workload = flat.get("workload")
-    if not workload:
+    if not flat.get("workload"):
         raise ScenarioError(
             f"{variant.get('name', '<scenario>')}: workload is unset after "
             "expansion; set it or add it as a sweep axis")
-    return GridCell(workload, **_set_fields(flat, _CELL_FIELDS))
+    return GridCell(**_fields(flat, GridCell))
 
 
 def build_slo_config(variant: dict):
@@ -196,7 +163,7 @@ def build_slo_config(variant: dict):
     scenario states no objective (tuning keys alone do not enable the
     engine).
     """
-    config = SloConfig(**_set_fields(flatten(variant), _SLO_FIELDS))
+    config = SloConfig(**_fields(flatten(variant), SloConfig))
     if not config.enabled:
         return None
     config.validate()
@@ -211,13 +178,7 @@ def build_serve_config(variant: dict) -> ServeConfig:
     ``scale: tiny``; the top-level ``scale``/``seed`` keys apply here
     too).
     """
-    flat = flatten(variant)
-    kwargs = _set_fields(flat, _SERVE_FIELDS)
-    if flat.get("scale") is not None:
-        kwargs["scale"] = flat["scale"]
-    if flat.get("seed") is not None:
-        kwargs["seed"] = int(flat["seed"])
-    return ServeConfig(**kwargs).validate()
+    return ServeConfig(**_fields(flatten(variant), ServeConfig)).validate()
 
 
 def build_sim_config(variant: dict) -> SimulationConfig:
@@ -228,9 +189,8 @@ def build_sim_config(variant: dict) -> SimulationConfig:
     it -- is bit-identical to the equivalent flag-driven invocation.
     ``workload`` may be unset (``mode: serve``).
     """
-    flat = flatten(variant)
-    cell = GridCell(flat.get("workload"), **_set_fields(flat, _CELL_FIELDS))
-    return cell.sim_config().validate()
+    kwargs = {"workload": None, **_fields(flatten(variant), GridCell)}
+    return GridCell(**kwargs).sim_config().validate()
 
 
 @dataclass(frozen=True)
@@ -241,41 +201,28 @@ class MultiGpuSpec:
     workload: str
     scale: str
     oversubscription: float
-    gpus: int = 2
-    partition: str = "chunk"
+    gpus: int
+    partition: str
     #: Fraction of each device's memory the driver may use (Section
     #: VIII throttle knob).
-    throttle: float = 1.0
+    throttle: float
 
 
 def build_multigpu_spec(variant: dict) -> MultiGpuSpec:
-    """Map one concrete scenario onto a :class:`MultiGpuSpec`."""
-    cell = build_cell(variant)
-    return MultiGpuSpec(
-        config=cell.sim_config().validate(), workload=cell.workload,
-        scale=cell.scale, oversubscription=cell.oversubscription,
-        **_set_fields(flatten(variant), _MULTIGPU_FIELDS))
+    """Map one concrete scenario onto a :class:`MultiGpuSpec`.
 
-
-def _document_defaults() -> None:
-    """Stamp each compiled key's schema default from its dataclass field.
-
-    The schema documents the value an omitted key takes; reading it off
-    the field the key lands on keeps the two from drifting.  ``backend``
-    defaults to the environment and keeps its literal description.
+    The ``multigpu.*`` keys go through :class:`MultiGpuSimulator`
+    itself, so the spec has the simulator's defaults and passes its
+    checks.
     """
-    for table, owner in ((_CELL_FIELDS, GridCell),
-                         (_SERVE_FIELDS, ServeConfig),
-                         (_SLO_FIELDS, SloConfig),
-                         (_MULTIGPU_FIELDS, MultiGpuSpec)):
-        for path, (name, _) in table.items():
-            if path != "backend":
-                default = getattr(owner, name)
-                SCHEMA[path] = dataclasses.replace(
-                    SCHEMA[path], default=getattr(default, "value", default))
-
-
-_document_defaults()
+    cell = build_cell(variant)
+    config = cell.sim_config().validate()
+    cluster = MultiGpuSimulator(
+        config, **_fields(flatten(variant), MultiGpuSimulator))
+    return MultiGpuSpec(
+        config=config, workload=cell.workload, scale=cell.scale,
+        oversubscription=cell.oversubscription, gpus=cluster.num_gpus,
+        partition=cluster.partition, throttle=cluster.throttle)
 
 
 def compile_check(scenario: dict) -> list[str]:
@@ -284,7 +231,7 @@ def compile_check(scenario: dict) -> list[str]:
     The dry-run behind ``repro config validate``: catches problems
     schema validation alone cannot see (a workload only unset after
     expansion, cross-field config invariants like watermark ordering or
-    fault-rate bounds).  Returns the variant labels in expansion order;
+    fault-rate bounds, the multi-GPU cluster's own checks).  Returns the variant labels in expansion order;
     raises :class:`ScenarioError` on the first variant that fails.
     """
     mode = scenario.get("mode", "run")
@@ -299,13 +246,7 @@ def compile_check(scenario: dict) -> list[str]:
                 build_sim_config(variant.data)
                 build_slo_config(variant.data)
             else:
-                spec = build_multigpu_spec(variant.data)
-                if not 0.0 < spec.throttle <= 1.0:
-                    raise ValueError(
-                        f"multigpu.throttle must be in (0, 1], got "
-                        f"{spec.throttle}")
-                if spec.gpus < 1:
-                    raise ValueError("multigpu.gpus must be >= 1")
+                build_multigpu_spec(variant.data)
         except ScenarioError:
             raise
         except ValueError as exc:

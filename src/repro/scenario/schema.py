@@ -17,10 +17,13 @@ derived from this one table:
 * ``tools/check_docs.py`` validates the fenced YAML examples in the
   documentation against it, and checks that the key-reference table in
   ``docs/scenarios.md`` covers every path listed here;
+* each key names the config field it sets (``field``; the
+  constructor that takes it is its section's entry in :data:`OWNERS`)
+  and, where the CLI has one, its flag spelling (``flag``): the
+  compiler maps keys onto configs and ``repro.cli`` generates its knob
+  flags from this table alone;
 * defaults are documentation of the *effective* value an omitted key
-  takes.  Keys the compiler maps onto a dataclass field are declared
-  here without one: :mod:`repro.scenario.compile` stamps each from the
-  field's own default when it loads (the package imports it first), so
+  takes, read off the field's own default when the table is built, so
   the table cannot drift from the config.  The compiler never
   materializes defaults, so an omitted key really does inherit the
   config default, including ``REPRO_BACKEND``.
@@ -28,13 +31,15 @@ derived from this one table:
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
-from ..analysis.parallel import EVICT_GRANULARITIES
+from ..analysis.parallel import EVICT_GRANULARITIES, GridCell
 from ..config import (KNOWN_ARRIVAL_PROCESSES, KNOWN_BACKENDS,
                       KNOWN_SCHEDULERS, KNOWN_THRESHOLD_VARIANTS,
-                      MigrationPolicy, PrefetcherKind)
-from ..multigpu.cluster import KNOWN_PARTITIONS
+                      MigrationPolicy, PrefetcherKind, ServeConfig)
+from ..multigpu.cluster import KNOWN_PARTITIONS, MultiGpuSimulator
+from ..obs.live.slo import SloConfig
 from ..workloads import SCALES, workload_names
 
 #: Execution modes a scenario can declare.
@@ -48,6 +53,14 @@ KNOWN_PREFETCHERS: tuple[str, ...] = tuple(k.value for k in PrefetcherKind)
 
 #: Migration policies by value.
 KNOWN_POLICIES: tuple[str, ...] = tuple(k.value for k in MigrationPolicy)
+
+#: What each section's keys configure (``""`` = the top level): a key's
+#: ``field`` names an argument of its section's constructor.  Top-level
+#: keys also set any other constructor that has their field (``scale``
+#: and ``seed`` set :class:`~repro.config.ServeConfig` too).
+OWNERS: dict[str, type] = {
+    "": GridCell, "policy": GridCell, "memory": GridCell, "faults": GridCell,
+    "serve": ServeConfig, "slo": SloConfig, "multigpu": MultiGpuSimulator}
 
 
 class ScenarioError(ValueError):
@@ -72,12 +85,40 @@ class Key:
     sweepable: bool = True
     #: Effective value when omitted (documentation; never materialized).
     default: object = None
+    #: The constructor argument the key sets (see :data:`OWNERS`).
+    field: str = ""
+    #: The CLI flag setting the key, e.g. ``--ts`` (``None``: no flag).
+    flag: str | None = None
+    #: The flag's ``--help`` metavar (``None``: argparse's own).
+    metavar: str | None = None
+
+    @property
+    def section(self) -> str:
+        return self.path.rpartition(".")[0]
+
+    def coerce(self, value):
+        """A validated ``value`` as its field holds it: numbers where
+        float is declared become floats, lists become tuples (numeric
+        items as floats)."""
+        if list in self.type:
+            return tuple(float(v) if isinstance(v, (int, float)) else v
+                         for v in value)
+        if float in self.type:
+            return float(value)
+        return value
 
 
 def _k(path, type_, description, choices=None, sweepable=True,
-       default=None) -> Key:
+       default=None, field=None, flag=None, metavar=None) -> Key:
     type_ = type_ if isinstance(type_, tuple) else (type_,)
-    return Key(path, type_, description, choices, sweepable, default)
+    section, _, leaf = path.rpartition(".")
+    field = field or leaf
+    if default is None:
+        param = inspect.signature(OWNERS[section]).parameters.get(field)
+        if param is not None and param.default is not param.empty:
+            default = getattr(param.default, "value", param.default)
+    return Key(path, type_, description, choices, sweepable, default,
+               field, flag, metavar)
 
 
 #: The full schema, one entry per legal dotted path.
@@ -98,84 +139,102 @@ SCHEMA: dict[str, Key] = {k.path: k for k in (
     # -- the single-run surface -----------------------------------------
     _k("workload", str, "workload name (see `repro list`)",
        choices=workload_names(extended=True)),
-    _k("scale", str, "workload scale preset", choices=tuple(SCALES)),
+    _k("scale", str, "workload scale preset", choices=tuple(SCALES),
+       flag="--scale"),
     _k("oversubscription", (int, float), "working set as a fraction of "
-       "device capacity (1.25 = 125% oversubscription)"),
-    _k("seed", int, "root RNG seed"),
-    _k("backend", str, "hot-loop kernel backend",
-       choices=KNOWN_BACKENDS, default="$REPRO_BACKEND or python"),
+       "device capacity (1.25 = 125% oversubscription)", flag="--oversub"),
+    _k("seed", int, "root RNG seed", flag="--seed"),
+    _k("backend", str, "hot-loop kernel backend ('numba' falls back to "
+       "python, with a warning, when numba is not installed)",
+       choices=KNOWN_BACKENDS, default="$REPRO_BACKEND or python",
+       flag="--backend"),
     # -- policy ----------------------------------------------------------
     _k("policy.variant", str, "migration policy scheme",
-       choices=KNOWN_POLICIES),
+       choices=KNOWN_POLICIES, field="policy", flag="--policy"),
     _k("policy.static_threshold", int, "static access-counter threshold "
-       "ts (Table I)"),
+       "ts (Table I)", field="ts", flag="--ts"),
     _k("policy.migration_penalty", int, "multiplicative migration "
-       "penalty p (Equation 1)"),
+       "penalty p (Equation 1)", field="p", flag="--penalty",
+       metavar="PENALTY"),
     _k("policy.threshold_variant", str, "Equation-1 growth function",
        choices=KNOWN_THRESHOLD_VARIANTS),
     _k("policy.historic_counters", bool, "judge the adaptive threshold "
        "against historic counters (False = Volta ablation)"),
     # -- memory management ----------------------------------------------
     _k("memory.eviction", str, "eviction granularity",
-       choices=KNOWN_EVICT),
+       choices=KNOWN_EVICT, field="evict", flag="--evict"),
     _k("memory.prefetcher", str, "hardware prefetcher strategy",
-       choices=KNOWN_PREFETCHERS),
+       choices=KNOWN_PREFETCHERS, flag="--prefetcher"),
     _k("memory.prefetch_degree", int, "blocks pulled per fault by the "
-       "sequential/random prefetchers"),
+       "sequential/random prefetchers", flag="--prefetch-degree"),
     # -- fault injection -------------------------------------------------
     _k("faults.transfer_rate", (int, float), "per-migration PCIe "
-       "transfer-fault probability"),
+       "transfer-fault probability", field="transfer_fault_rate",
+       flag="--fault-rate", metavar="FAULT_RATE"),
     _k("faults.migration_rate", (int, float), "per-migration device "
-       "allocation-fault probability"),
+       "allocation-fault probability", field="migration_fault_rate",
+       flag="--migration-fault-rate"),
     _k("faults.max_retries", int, "retries before degrading a faulted "
-       "migration to remote access"),
+       "migration to remote access", field="fault_retries",
+       flag="--fault-retries"),
     _k("faults.burst_on", (int, float), "calm->storm transition "
-       "probability of the correlated fault chain (0 disables)"),
+       "probability of the correlated fault chain (0 disables)",
+       field="fault_burst_on", flag="--fault-burst-on", metavar="PROB"),
     _k("faults.burst_off", (int, float), "storm->calm transition "
-       "probability"),
+       "probability", field="fault_burst_off", flag="--fault-burst-off",
+       metavar="PROB"),
     _k("faults.burst_multiplier", (int, float), "fault-rate multiplier "
-       "while a storm is active"),
+       "while a storm is active", field="fault_burst_mult",
+       flag="--fault-burst-mult", metavar="X"),
     # -- multi-tenant serving (mode: serve) ------------------------------
     _k("serve.arrival_rate", (int, float), "tenant arrivals per second "
-       "of simulated time"),
-    _k("serve.tenants", int, "tenant arrivals to generate"),
+       "of simulated time", flag="--arrival-rate", metavar="PER_S"),
+    _k("serve.tenants", int, "tenant arrivals to generate",
+       flag="--tenants"),
     _k("serve.duration_ms", (int, float), "arrival window in simulated "
-       "milliseconds (omit: cut by tenants alone)"),
+       "milliseconds (omit: cut by tenants alone)", flag="--duration",
+       metavar="MS"),
     _k("serve.process", str, "arrival process",
-       choices=KNOWN_ARRIVAL_PROCESSES),
+       choices=KNOWN_ARRIVAL_PROCESSES, flag="--process"),
     _k("serve.burst_factor", (int, float), "arrival-rate multiplier "
-       "inside a burst (bursty process)"),
+       "inside a burst (bursty process)", flag="--burst-factor"),
     _k("serve.burst_len_ms", (int, float), "mean burst sojourn, "
-       "simulated ms"),
+       "simulated ms", flag="--burst-len", metavar="MS"),
     _k("serve.calm_len_ms", (int, float), "mean calm sojourn, "
-       "simulated ms"),
-    _k("serve.workload_mix", list, "workloads tenants are drawn from",
-       sweepable=False),
-    _k("serve.capacity_mb", int, "shared device capacity in MB"),
+       "simulated ms", flag="--calm-len", metavar="MS"),
+    _k("serve.workload_mix", list, "workloads tenants are drawn from "
+       "(flag: comma-separated)", sweepable=False, flag="--mix"),
+    _k("serve.capacity_mb", int, "shared device capacity in MB",
+       flag="--capacity-mb"),
     _k("serve.admit_watermark", (int, float), "oversubscription up to "
-       "which arrivals are admitted immediately"),
+       "which arrivals are admitted immediately", flag="--admit-watermark"),
     _k("serve.shed_watermark", (int, float), "oversubscription past "
-       "which arrivals are shed"),
+       "which arrivals are shed", flag="--shed-watermark"),
     _k("serve.throttle_watermark", (int, float), "oversubscription at "
-       "which the heaviest-thrashing tenant is throttled"),
-    _k("serve.queue_depth", int, "bounded admission queue depth"),
+       "which the heaviest-thrashing tenant is throttled",
+       flag="--throttle-watermark"),
+    _k("serve.queue_depth", int, "bounded admission queue depth",
+       flag="--queue-depth"),
     _k("serve.quantum", int, "waves per runnable tenant per scheduler "
-       "round"),
+       "round", flag="--quantum"),
     _k("serve.throttle_rounds", int, "rounds a throttled tenant sits "
-       "out"),
+       "out", flag="--throttle-rounds"),
     _k("serve.live_admission", bool, "drive the throttle from live "
        "windowed interference telemetry instead of the static "
-       "watermark alone"),
+       "watermark alone", flag="--live-admission"),
     _k("serve.live_thrash_threshold", (int, float), "EWMA thrash "
-       "migrations per wave at which live admission throttles"),
+       "migrations per wave at which live admission throttles",
+       flag="--live-thrash-threshold", metavar="RATE"),
     _k("serve.window_ms", (int, float), "live-telemetry tumbling-window "
-       "width, simulated ms"),
+       "width, simulated ms", flag="--window-ms"),
     _k("serve.scheduler", str, "wave scheduler interleaving live "
-       "tenants", choices=KNOWN_SCHEDULERS),
+       "tenants", choices=KNOWN_SCHEDULERS, flag="--scheduler"),
     _k("serve.weights", list, "per-tenant fair-share weights under drr "
-       "(tenant i gets weights[i mod len]; empty = equal shares)"),
+       "(tenant i gets weights[i mod len]; empty = equal shares; flag: "
+       "comma-separated)", flag="--weights", metavar="W1,W2,..."),
     _k("serve.throttle_decay", (int, float), "drr weight multiplier "
-       "while a tenant is throttled (1.0 = throttle ignored)"),
+       "while a tenant is throttled (1.0 = throttle ignored)",
+       flag="--throttle-decay", metavar="FACTOR"),
     # -- serving SLOs (mode: serve; enables the SLO engine) --------------
     _k("slo.p99_latency_us", (int, float), "per-tenant wave-latency "
        "target in simulated us (omit: no latency objective)"),
@@ -192,7 +251,8 @@ SCHEMA: dict[str, Key] = {k.path: k for k in (
     _k("slo.burn_threshold", (int, float), "error-budget burn rate both "
        "horizons must exceed to flag a violation"),
     # -- multi-GPU topology (mode: multigpu) -----------------------------
-    _k("multigpu.gpus", int, "devices in the collaborative cluster"),
+    _k("multigpu.gpus", int, "devices in the collaborative cluster",
+       field="num_gpus"),
     _k("multigpu.partition", str, "wave-stream partition strategy",
        choices=KNOWN_PARTITIONS),
     _k("multigpu.throttle", (int, float), "fraction of each device's "

@@ -1,16 +1,60 @@
 """Unit tests for the command-line interface."""
 
+import argparse
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _build_config, _scenario, build_parser, main
+from repro.config import MigrationPolicy
+from repro.scenario import build_cell
+
+#: Every flag of every subcommand as the parser declared it before the
+#: knob flags were generated from the scenario schema.
+SNAPSHOT = Path(__file__).parent.parent / "data" / "cli_parser_snapshot.json"
+
+
+def _flags(parser) -> dict:
+    rows = {}
+    for action in parser._actions:
+        if isinstance(action, (argparse._HelpAction,
+                               argparse._SubParsersAction)):
+            continue
+        rows["/".join(action.option_strings) or action.dest] = {
+            "type": getattr(action.type, "__name__", action.type),
+            "choices": (None if action.choices is None
+                        else list(action.choices)),
+            "metavar": action.metavar, "nargs": action.nargs}
+    return rows
+
+
+def parser_snapshot(parser, prefix="") -> dict:
+    """``{subcommand: {flag: spec}}`` over every (nested) subcommand."""
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                path = f"{prefix} {name}".strip()
+                out[path] = _flags(sub)
+                out.update(parser_snapshot(sub, path))
+    return out
 
 
 class TestParser:
     def test_run_defaults(self):
+        """Unpassed knob flags leave their keys unset, so the run takes
+        the config defaults: adaptive policy at 125%."""
         args = build_parser().parse_args(["run", "ra"])
         assert args.workload == "ra"
-        assert args.policy == "adaptive"
-        assert args.oversub == 1.25
+        assert _build_config(args).policy.policy is MigrationPolicy.ADAPTIVE
+        assert build_cell(_scenario(args)).oversubscription == 1.25
+
+    def test_generated_flags_match_snapshot(self):
+        """Each flag keeps its option strings, type, choices, metavar and
+        nargs."""
+        expected = json.loads(SNAPSHOT.read_text())
+        assert parser_snapshot(build_parser()) == expected
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):

@@ -46,6 +46,20 @@ class TestRunConfig:
         assert main(["run", "--config", run_cfg, "--histogram"]) == 0
         assert "access histogram" in capsys.readouterr().out
 
+    def test_knob_flags_override_config(self, tmp_path, capsys):
+        """A knob flag given with --config overrides the scenario's key:
+        the run equals the all-flags invocation."""
+        cfg = write(tmp_path / "tiny.yaml", "workload: ra\nscale: tiny\n"
+                                            "oversubscription: 1.5\n")
+        assert main(["run", "--config", cfg, "--policy", "disabled",
+                     "--ts", "1"]) == 0
+        overlaid = capsys.readouterr().out
+        assert main(["run", "ra", "--scale", "tiny", "--oversub", "1.5",
+                     "--policy", "disabled", "--ts", "1"]) == 0
+        assert overlaid == capsys.readouterr().out
+        assert main(["run", "--config", cfg]) == 0
+        assert overlaid != capsys.readouterr().out
+
     def test_workload_plus_config_rejected(self, run_cfg):
         with pytest.raises(SystemExit, match="not both"):
             main(["run", "ra", "--config", run_cfg])
@@ -129,6 +143,18 @@ serve:
 """)
         assert main(["serve", "--config", cfg]) == 0
         assert "tenants" in capsys.readouterr().out
+
+    def test_knob_flags_override_config(self, capsys):
+        """configs/serve_slo.yaml generates 10 tenants; --tenants wins."""
+        assert main(["serve", "--config", "configs/serve_slo.yaml",
+                     "--tenants", "3", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["arrivals"] == 3
+
+    def test_flag_errors_name_the_key(self, tmp_path):
+        cfg = write(tmp_path / "s.yaml", "mode: serve\nscale: tiny\n")
+        with pytest.raises(SystemExit, match="serve.workload_mix: unknown "
+                                             "workload 'nosuch'"):
+            main(["serve", "--config", cfg, "--mix", "ra,nosuch"])
 
     def test_non_serve_config_redirected(self, run_cfg):
         with pytest.raises(SystemExit, match="mode"):

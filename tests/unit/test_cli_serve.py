@@ -4,17 +4,20 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _scenario, build_parser, main
+from repro.scenario import build_serve_config
 
 
 class TestServeParser:
     def test_defaults(self):
-        args = build_parser().parse_args(["serve"])
-        assert args.arrival_rate == 400.0
-        assert args.tenants == 12
-        assert args.process == "poisson"
-        assert args.shed_watermark == 2.5
-        assert args.mix == "ra,sssp,bfs,fdtd"
+        """Unpassed serve flags leave the ServeConfig defaults."""
+        cfg = build_serve_config(_scenario(build_parser().parse_args(
+            ["serve"])))
+        assert cfg.arrival_rate == 400.0
+        assert cfg.tenants == 12
+        assert cfg.process == "poisson"
+        assert cfg.shed_watermark == 2.5
+        assert cfg.workload_mix == ("ra", "sssp", "bfs", "fdtd")
 
     def test_flags_parse(self):
         args = build_parser().parse_args(
@@ -127,7 +130,23 @@ class TestServeSlo:
 
     def test_slo_config_rejects_unknown_key(self, tmp_path):
         slo = write_slo_yaml(tmp_path, "p99_latencyus: 300.0\n")
-        with pytest.raises(SystemExit, match="unknown SLO key"):
+        with pytest.raises(SystemExit,
+                           match="slo.p99_latencyus: unknown key"):
+            main(OVERLOAD_FLAGS + ["--slo-config", str(slo)])
+
+    @pytest.mark.parametrize("body, error", [
+        ("p99_latency_us: 300.0\nfast_windows: 2.5\n",
+         r"slo.fast_windows: expected int, got float \(2.5\)"),
+        ("p99_latency_us: true\n",
+         r"slo.p99_latency_us: expected int/float, got bool \(True\)"),
+    ])
+    def test_slo_config_type_checked_by_schema(self, tmp_path, body,
+                                               error):
+        """Mistyped objectives fail up front, naming the key: not a
+        mid-run TypeError, nor a silent 1us latency target."""
+        slo = write_slo_yaml(tmp_path, body)
+        with pytest.raises(SystemExit, match=r"^repro serve: (.|\n)*"
+                                             + error):
             main(OVERLOAD_FLAGS + ["--slo-config", str(slo)])
 
     def test_slo_config_rejects_no_objectives(self, tmp_path):

@@ -8,6 +8,8 @@ actually detects problems.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from repro.cli import build_parser
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -125,6 +127,29 @@ class TestKeyReference:
         assert check_docs.check_key_reference(tmp_path) == [
             "docs/scenarios.md: `policy.static_threshold` documents "
             "default `16` but the schema default is `8`"]
+
+    @pytest.mark.parametrize("row, drifted, error", [
+        ("| `policy.static_threshold` | int | `8` | `--ts` |",
+         "| `policy.static_threshold` | int | `8` | — |",
+         "`policy.static_threshold` documents flag — but the schema flag "
+         "is --ts"),
+        ("| `slo.fast_windows` | int | `3` | — |",
+         "| `slo.fast_windows` | int | `3` | `--fast-windows` |",
+         "`slo.fast_windows` documents flag `--fast-windows` but the "
+         "schema flag is none"),
+    ])
+    def test_drifted_flag_detected(self, tmp_path, row, drifted, error):
+        """The flag column matches the schema in both directions: a
+        dropped flag and an invented one are both caught."""
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        table = (REPO_ROOT / "docs" / "scenarios.md").read_text(
+            encoding="utf-8")
+        assert row in table
+        (docs / "scenarios.md").write_text(table.replace(row, drifted),
+                                           encoding="utf-8")
+        assert check_docs.check_key_reference(tmp_path) == [
+            f"docs/scenarios.md: {error}"]
 
     def test_missing_key_detected(self, tmp_path):
         docs = tmp_path / "docs"

@@ -8,7 +8,8 @@ from repro.scenario import (SCHEMA, ScenarioError, build_cell,
                             build_multigpu_spec, build_serve_config,
                             build_sim_config, check, compile_check,
                             deep_merge, expand, is_base, load_directory,
-                            load_scenario, scenario_files, validate)
+                            load_scenario, overlay, scenario_files,
+                            validate)
 from repro.scenario.schema import key_reference
 
 yaml = pytest.importorskip("yaml")
@@ -186,6 +187,31 @@ class TestExpansion:
                            "sweep": {"seed": [0]}})
         assert "sweep" not in variants[0].data
         assert variants[0].data["seed"] == 0
+
+
+class TestOverlay:
+    def test_set_path_overrides_nested_value(self):
+        base = {"name": "s", "workload": "ra",
+                "policy": {"variant": "always", "static_threshold": 16}}
+        data = overlay(base, {"policy.static_threshold": 1})
+        assert data["policy"] == {"variant": "always", "static_threshold": 1}
+        assert base["policy"]["static_threshold"] == 16  # input untouched
+
+    def test_set_path_replaces_dotted_spelling(self):
+        data = overlay({"name": "s", "workload": "ra",
+                        "policy.variant": "always"},
+                       {"policy.variant": "disabled"})
+        assert build_cell(data).policy is MigrationPolicy.DISABLED
+
+    def test_pinned_axis_leaves_the_sweep(self):
+        base = {"name": "s", "workload": "ra", "mode": "sweep",
+                "sweep": {"policy.variant": ["disabled", "adaptive"],
+                          "seed": [0, 1]}}
+        data = overlay(base, {"policy.variant": "always"})
+        assert data["sweep"] == {"seed": [0, 1]}
+        assert [build_cell(v.data).policy for v in expand(data)] == [
+            MigrationPolicy.ALWAYS] * 2
+        assert "sweep" not in overlay(data, {"seed": 3})
 
 
 class TestCompile:

@@ -14,6 +14,8 @@ from repro.obs.live.slo import (
     burn_rate,
 )
 from repro.obs.live.windows import WindowAggregate
+from repro.cli import _slo_config
+from repro.scenario import ScenarioError
 
 
 def agg(count=0, bad=0, total=0.0, vmax=None):
@@ -72,27 +74,30 @@ class TestSloConfig:
         with pytest.raises(ValueError):
             SloConfig(**kwargs).validate()
 
-    def test_from_dict_accepts_bare_and_prefixed_keys(self):
-        a = SloConfig.from_dict({"p99_latency_us": 200.0,
-                                 "max_shed_rate": 0.1})
-        b = SloConfig.from_dict({"slo.p99_latency_us": 200.0,
-                                 "slo.max_shed_rate": 0.1})
-        assert a == b
+    def test_slo_config_accepts_bare_and_prefixed_keys(self):
+        a = _slo_config({"p99_latency_us": 200.0,
+                         "max_shed_rate": 0.1}, "slo.yaml")
+        b = _slo_config({"slo.p99_latency_us": 200.0,
+                         "slo.max_shed_rate": 0.1}, "slo.yaml")
+        c = _slo_config({"slo": {"p99_latency_us": 200.0,
+                                 "max_shed_rate": 0.1}}, "slo.yaml")
+        assert a == b == c
         assert a.p99_latency_us == 200.0
 
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown SLO key"):
-            SloConfig.from_dict({"p99_latencyus": 200.0})
+    def test_slo_config_rejects_unknown_keys(self):
+        with pytest.raises(ScenarioError,
+                           match="slo.p99_latencyus: unknown key"):
+            _slo_config({"p99_latencyus": 200.0}, "slo.yaml")
 
-    def test_from_dict_skips_none(self):
-        cfg = SloConfig.from_dict({"p99_latency_us": 200.0,
-                                   "max_shed_rate": None})
+    def test_slo_config_skips_none(self):
+        cfg = _slo_config({"p99_latency_us": 200.0,
+                           "max_shed_rate": None}, "slo.yaml")
         assert cfg.max_shed_rate is None
 
     def test_as_dict_round_trips(self):
         cfg = SloConfig(p99_latency_us=300.0, latency_attainment=0.95,
                         fast_windows=2, slow_windows=8)
-        assert SloConfig.from_dict(cfg.as_dict()) == cfg
+        assert _slo_config(cfg.as_dict(), "slo.yaml") == cfg
 
 
 class TestLatencyEvaluation:

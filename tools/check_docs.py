@@ -21,8 +21,10 @@ Checks, over README.md, EXPERIMENTS.md, DESIGN.md and ``docs/*.md``:
   library).  Blocks containing ``# not-a-scenario`` are exempt;
 * **Key reference** -- the key table in ``docs/scenarios.md`` covers
   exactly the keys in ``repro.scenario.schema.SCHEMA`` (no missing,
-  no stale rows), and its ``default`` column shows each key's scalar
-  schema default (`` `v` ``, or ``—`` for ``None``).
+  no stale rows), its ``default`` column shows each key's scalar
+  schema default (`` `v` ``, or ``—`` for ``None``), and its ``flag``
+  column shows exactly the keys' CLI flags (`` `--flag` ``, or ``—``
+  for a key without one).
 
 Exit status is the number of problems found (0 = docs are clean).
 """
@@ -228,7 +230,15 @@ def check_key_reference(root: Path) -> list[str]:
     for line in section.splitlines():
         cells = [c.strip() for c in line.strip().strip("|").split("|")]
         key = cells[0].strip("`")
-        if len(cells) < 3 or key not in schema or key in PROSE_DEFAULTS:
+        if len(cells) < 3 or key not in schema:
+            continue
+        flag = SCHEMA[key].flag
+        doc_flag = cells[3] if len(cells) > 3 else "nothing"
+        if doc_flag != (f"`{flag}`" if flag else "—"):
+            errors.append(f"docs/scenarios.md: `{key}` documents flag "
+                          f"{doc_flag} but the schema flag is "
+                          f"{flag or 'none'}")
+        if key in PROSE_DEFAULTS:
             continue
         want = _default_cell(SCHEMA[key].default)
         if want is not None and cells[2] != want:
