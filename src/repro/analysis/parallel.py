@@ -226,38 +226,6 @@ class _GridMetrics:
         return _GridMetrics(opts.metrics) if opts.metrics is not None else None
 
 
-class _Archiver:
-    """Archives each completed cell into a run store, orchestrator-side.
-
-    Provenance (git SHA, host fingerprint) is resolved once per grid,
-    not once per cell; the sweep id defaults to a content-addressed
-    hash of the whole cell set, so re-running the same grid lands in
-    the same archive slots.
-    """
-
-    def __init__(self, store, cells, sweep_id: str | None) -> None:
-        from ..obs.store import derive_sweep_id, git_info, host_info
-        self.store = store
-        self.sweep_id = sweep_id or derive_sweep_id(cells)
-        self._git = git_info()
-        self._host = host_info()
-
-    @staticmethod
-    def of(opts: "GridOptions", cells) -> "_Archiver | None":
-        return (_Archiver(opts.archive, cells, opts.sweep_id)
-                if opts.archive is not None else None)
-
-    def archive(self, cell: GridCell, result: RunResult) -> str:
-        from .checkpoint import _encode
-        from ..obs.store import RunManifest
-        manifest = RunManifest.create(
-            kind="grid-cell", workload=cell.workload,
-            policy=cell.policy.value, scale=cell.scale, seed=cell.seed,
-            oversubscription=cell.oversubscription, config=_encode(cell),
-            git=self._git, host=self._host, sweep_id=self.sweep_id)
-        return self.store.archive(manifest, result)
-
-
 class GridExecutionError(RuntimeError):
     """A grid cell kept failing after exhausting its retry budget."""
 
@@ -321,7 +289,11 @@ def run_grid(cells, max_workers: int | None = None,
     results: list[RunResult | None] = [None] * len(cells)
     pending = list(range(len(cells)))
     journal = None
-    archiver = _Archiver.of(opts, cells)
+    archiver = None
+    if opts.archive is not None:
+        from ..obs.store import Archiver, derive_sweep_id
+        archiver = Archiver(opts.archive,
+                            opts.sweep_id or derive_sweep_id(cells))
     if opts.checkpoint:
         from .checkpoint import CheckpointJournal, cell_key
         journal = CheckpointJournal(opts.checkpoint)
@@ -340,7 +312,7 @@ def run_grid(cells, max_workers: int | None = None,
                     if gm is not None:
                         gm.from_checkpoint.inc()
                     if archiver is not None:
-                        archiver.archive(cell, hit)
+                        archiver.archive_cell(cell, hit)
                 else:
                     fresh.append(i)
             pending = fresh
@@ -386,14 +358,14 @@ def _annotate_trace_paths(cells, cache_root: str) -> list[GridCell]:
 # ---------------------------------------------------------------------------
 
 def _store(results, journal, cell, index: int, result: RunResult,
-           archiver: "_Archiver | None" = None) -> None:
+           archiver=None) -> None:
     """Commit one finished cell: result slot, journal, then archive."""
     results[index] = result
     if journal is not None and not (cell.collect_histogram
                                     or cell.collect_trace):
         journal.append(cell, result)
     if archiver is not None:
-        archiver.archive(cell, result)
+        archiver.archive_cell(cell, result)
 
 
 def _backoff(opts: GridOptions, attempt: int) -> None:

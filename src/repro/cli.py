@@ -49,12 +49,13 @@ scenario key.  See the ``configs/`` library and ``docs/scenarios.md``.
 Archived config-driven runs embed the fully resolved scenario in their
 manifest, so ``repro diff`` explains them by scenario-key deltas.
 
-The simulation commands (``run``, ``trace replay``) accept the
-observability flags ``--events out.jsonl[.gz]`` (structured event
+The simulation commands (``run``, ``trace replay``, ``serve``) accept
+the observability flags ``--events out.jsonl[.gz]`` (structured event
 log), ``--metrics out.json`` (counter/histogram rollup), ``--profile``
 (per-phase wall-clock breakdown), ``--timeline out.trace.json``
-(Chrome-trace export for Perfetto), and ``--archive`` (persist the run
-under ``.repro/runs/<run_id>/`` for later ``repro diff``); the grid
+(Chrome-trace export for Perfetto) -- refused for a scenario that runs
+as a batch -- and ``--archive`` (persist each run under
+``.repro/runs/<run_id>/`` for later ``repro diff``); the grid
 commands (``figure``, ``sweep``) accept ``--metrics`` for per-cell
 timing and retry rollups, ``--archive`` to file every grid cell under
 a shared sweep id, and ``--trace-cache DIR`` to record each access
@@ -74,8 +75,8 @@ from .analysis.tables import format_table
 from .scenario import (SCHEMA, ScenarioError, build_cell, build_serve_config,
                        build_sim_config, build_slo_config, expand, overlay,
                        validate)
+from .scenario.runner import execute_run, execute_serve
 from .scenario.schema import OWNERS
-from .sim.simulator import Simulator
 from .workloads import SCALES, make_workload, workload_names
 
 
@@ -237,48 +238,19 @@ def _make_obs(args):
         raise SystemExit(f"repro: {exc}")
 
 
-def _begin_archive(args, cfg, workload_name: str, obs,
-                   scenario: dict | None = None, scale: str = "-",
-                   oversub: float | None = None):
-    """Open a run-archive slot and stream the event log into it.
-
-    Returns the open :class:`~repro.obs.store.RunWriter` (or ``None``
-    when ``--archive`` is off).  The manifest -- and with it the
-    content-addressed run id -- is derived *before* the simulation
-    runs, so the archived event log can be written in place rather
-    than copied afterwards.  ``scenario`` (a fully resolved scenario
-    mapping) is embedded in the manifest config and named in
-    ``manifest.scenario`` for config-driven runs, so ``repro diff``
-    can explain two runs by their scenario deltas.
-    """
+def _archive(args):
+    """The :class:`~repro.obs.store.Archiver` ``--archive`` asks for, or
+    ``None``."""
     if not getattr(args, "archive", False):
         return None
-    from .analysis.checkpoint import encode_config
-    from .obs import JsonlSink
-    from .obs.store import RunManifest, RunStore, git_info
-    store = RunStore(getattr(args, "runs", None))
-    config = encode_config(cfg)
-    if scenario is not None:
-        config = {"sim": config, "scenario": scenario}
-    manifest = RunManifest.create(
-        kind="run", workload=workload_name,
-        policy=cfg.policy.policy.value,
-        scale=scale, seed=cfg.seed, oversubscription=oversub,
-        config=config, git=git_info(),
-        scenario=scenario.get("name") if scenario is not None else None)
-    writer = store.open_run(manifest)
-    obs.bus.attach(JsonlSink(writer.events_path))
-    return writer
+    from .obs.store import Archiver, RunStore
+    return Archiver(RunStore(getattr(args, "runs", None)))
 
 
-def _finish_archive(writer, result, obs) -> None:
-    """Commit an archived run after its sinks have been flushed."""
-    if writer is None:
-        return
-    metrics = obs.metrics.as_dict() if obs.metrics is not None else None
-    run_id = writer.commit(result, metrics=metrics)
-    print(f"[archived as {run_id}; list with `repro runs`, compare with "
-          f"`repro diff {run_id} <other-run>`]")
+def _print_archived(run_id) -> None:
+    if run_id is not None:
+        print(f"[archived as {run_id}; list with `repro runs`, compare with "
+              f"`repro diff {run_id} <other-run>`]")
 
 
 def _finish_obs(obs, args) -> None:
@@ -335,18 +307,36 @@ def _load_scenario_file(path: str, command: str) -> dict:
         raise SystemExit(f"repro {command}: {exc}") from None
 
 
+#: Obs flags that write one run's output (``run``, ``serve``).
+_RUN_OBS_FLAGS = ("events", "flush_events", "metrics", "prom", "profile",
+                  "timeline")
+
+
 def _run_scenario_batch(args, scenarios, command: str, jobs: int = 1,
                         grid=None) -> int:
     """Execute scenarios through the batch runner; print per-scenario
     tables."""
     from .scenario import ScenarioError, run_scenarios
     store = None
-    if grid is None and getattr(args, "archive", False):
-        from .obs.store import RunStore
-        store = RunStore(getattr(args, "runs", None))
+    if grid is None:
+        # run/serve: a batch has no single run to instrument.
+        scenario = scenarios[0]
+        for dest in _RUN_OBS_FLAGS:
+            value = getattr(args, dest, None)
+            if value is not None and value is not False:
+                raise SystemExit(
+                    f"repro {command}: --{dest.replace('_', '-')} writes "
+                    f"one run's output, but {scenario.get('name')} runs as "
+                    f"a {scenario.get('mode', 'run')} batch of "
+                    f"{len(expand(scenario))} variant(s); use --archive to "
+                    "file each variant, with its event log and metrics, "
+                    "in the run store")
+        if args.archive:
+            from .obs.store import RunStore
+            store = RunStore(args.runs)
     try:
         outcomes = run_scenarios(scenarios, jobs=jobs, options=grid,
-                                 store=store)
+                                 store=store, slo=_load_slo_config(args))
     except (ScenarioError, ValueError) as exc:
         raise SystemExit(f"repro {command}: {exc}") from None
     print("\n\n".join(o.render() for o in outcomes))
@@ -371,16 +361,15 @@ def cmd_run(args) -> int:
     # CLI-only observability overlay: composes with any config.
     if args.collect_histogram:
         cfg = cfg.replace(collect_page_histogram=True)
-    wl = _make_workload(cell.workload, cell.scale)
     obs = _make_obs(args)
-    archive = _begin_archive(args, cfg, wl.name, obs,
-                             scenario=scenario if args.config else None,
-                             scale=cell.scale, oversub=cell.oversubscription)
-    result = Simulator(cfg).run(wl, oversubscription=cell.oversubscription,
-                                obs=obs)
+    result, run_id = execute_run(
+        cfg, _make_workload(cell.workload, cell.scale),
+        cell.oversubscription, obs=obs, archive=_archive(args),
+        scale=cell.scale, scenario=scenario if args.config else None,
+        name=scenario.get("name"))
     _print_summary(result)
     _finish_obs(obs, args)
-    _finish_archive(archive, result, obs)
+    _print_archived(run_id)
     if args.collect_histogram:
         _print_histogram(result)
     return 0
@@ -404,9 +393,9 @@ def cmd_compare(args) -> int:
     for pol in MigrationPolicy:
         cfg = _build_config(
             args, overlay(scenario, {"policy.variant": pol.value}))
-        wl = _make_workload(cell.workload, cell.scale)
-        results[pol] = Simulator(cfg).run(
-            wl, oversubscription=cell.oversubscription)
+        results[pol], _ = execute_run(
+            cfg, _make_workload(cell.workload, cell.scale),
+            cell.oversubscription)
     base = results[MigrationPolicy.DISABLED]
     rows = []
     for pol, r in results.items():
@@ -548,37 +537,13 @@ def cmd_trace(args) -> int:
     # replay
     cfg = _build_config(args)
     obs = _make_obs(args)
-    wl = TraceWorkload(args.input)
-    oversub = _knob(args, "oversubscription")
-    archive = _begin_archive(args, cfg, wl.name, obs, oversub=oversub)
-    result = Simulator(cfg).run(wl, oversubscription=oversub, obs=obs)
+    result, run_id = execute_run(
+        cfg, TraceWorkload(args.input), _knob(args, "oversubscription"),
+        obs=obs, archive=_archive(args))
     _print_summary(result)
     _finish_obs(obs, args)
-    _finish_archive(archive, result, obs)
+    _print_archived(run_id)
     return 0
-
-
-def _begin_serve_archive(args, serve_cfg, sim_cfg, obs,
-                         scenario: dict | None = None):
-    """Open a ``kind="serve"`` archive slot (or ``None``)."""
-    if not getattr(args, "archive", False):
-        return None
-    from .analysis.checkpoint import encode_config
-    from .obs import JsonlSink
-    from .obs.store import RunManifest, RunStore, git_info
-    store = RunStore(getattr(args, "runs", None))
-    config = {"serve": serve_cfg.as_dict(), "sim": encode_config(sim_cfg)}
-    if scenario is not None:
-        config["scenario"] = scenario
-    manifest = RunManifest.create(
-        kind="serve", workload="+".join(serve_cfg.workload_mix),
-        policy=sim_cfg.policy.policy.value, scale=serve_cfg.scale,
-        seed=serve_cfg.seed, oversubscription=None,
-        config=config, git=git_info(),
-        scenario=scenario.get("name") if scenario is not None else None)
-    writer = store.open_run(manifest)
-    obs.bus.attach(JsonlSink(writer.events_path))
-    return writer
 
 
 def _print_serve_summary(result) -> None:
@@ -671,7 +636,6 @@ def _load_slo_config(args):
 
 
 def cmd_serve(args) -> int:
-    from .serve import ServeSession
     scenario = _scenario(args)
     if args.config and scenario.get("mode", "run") != "serve":
         raise SystemExit(
@@ -690,13 +654,11 @@ def cmd_serve(args) -> int:
     # (objectives are not merged key-by-key).
     slo = _load_slo_config(args) or _compile(args, build_slo_config, data)
     obs = _make_obs(args)
-    archive = _begin_serve_archive(
-        args, serve_cfg, sim_cfg, obs,
-        scenario=scenario if args.config else None)
     try:
-        result = ServeSession(serve_cfg, sim_config=sim_cfg, obs=obs,
-                              scenario=scenario.get("name"),
-                              slo=slo).run()
+        result, run_id = execute_serve(
+            serve_cfg, sim_cfg, slo=slo, obs=obs, archive=_archive(args),
+            scenario=scenario if args.config else None,
+            name=scenario.get("name"))
     except ValueError as exc:
         raise SystemExit(f"repro serve: {exc}") from None
     if args.json:
@@ -705,10 +667,7 @@ def cmd_serve(args) -> int:
     else:
         _print_serve_summary(result)
     _finish_obs(obs, args)
-    if archive is not None:
-        metrics = obs.metrics.as_dict() if obs.metrics is not None else None
-        run_id = archive.commit_dict(result.as_dict(), metrics=metrics)
-        print(f"[archived as {run_id}; list with `repro runs`]")
+    _print_archived(run_id)
     return 0
 
 
@@ -759,13 +718,11 @@ def cmd_diff(args) -> int:
     from .obs.store import RunStore
     store = RunStore(args.runs)
     try:
-        run_a = store.load(args.run_a)
-        run_b = store.load(args.run_b)
+        diff = diff_runs(store.load(args.run_a), store.load(args.run_b),
+                         tolerance=args.tolerance / 100.0, top=args.top)
     except (KeyError, OSError, ValueError) as exc:
         msg = exc.args[0] if exc.args else exc
         raise SystemExit(f"repro diff: {msg}") from None
-    diff = diff_runs(run_a, run_b, tolerance=args.tolerance / 100.0,
-                     top=args.top)
     if args.json:
         print(_json.dumps(diff.as_dict(), indent=2, sort_keys=True))
     else:

@@ -4,7 +4,8 @@ Takes two :class:`~repro.obs.store.ArchivedRun` entries and reports
 what actually changed between them, at three depths:
 
 * **result metrics** -- kernel cycles, migrations, evictions, faults,
-  remote accesses, thrashing -- as per-metric deltas with
+  remote accesses, thrashing (for serve and multigpu runs, every
+  numeric result field) -- as per-metric deltas with
   significance-aware formatting (changes below a noise tolerance are
   marked as such instead of shouting 0.02%);
 * **configuration** -- the flattened set of config fields that differ,
@@ -228,18 +229,38 @@ def diff_events(sa: LogSummary, sb: LogSummary, top: int = 10) -> EventDiff:
         trajectories=_trajectories(sa, sb))
 
 
+def _numeric_fields(result: dict) -> dict:
+    """The numeric fields of a dict result (serve, multigpu), flattened;
+    its embedded ``config`` is left to the config changes."""
+    flat = flatten_config({k: v for k, v in result.items() if k != "config"})
+    return {k: v for k, v in flat.items()
+            if isinstance(v, (int, float)) and not isinstance(v, bool)}
+
+
 def diff_runs(a, b, tolerance: float = 0.01, top: int = 10) -> RunDiff:
     """Diff two :class:`~repro.obs.store.ArchivedRun` entries.
 
-    ``tolerance`` is the relative change below which a metric is
-    reported as noise; ``top`` bounds the thrashing-block sets.
+    ``run`` and ``grid-cell`` runs compare their result summaries;
+    two serve or two multigpu runs compare every numeric result field
+    the two share.  Runs whose results differ in kind raise
+    ``ValueError``.  ``tolerance`` is the relative change below which a
+    metric is reported as noise; ``top`` bounds the thrashing-block
+    sets.
     """
-    sum_a = a.result.summary()
-    sum_b = b.result.summary()
+    if not isinstance(a.result, dict) and not isinstance(b.result, dict):
+        sum_a, sum_b = a.result.summary(), b.result.summary()
+        names = SUMMARY_METRICS
+    elif a.manifest.kind == b.manifest.kind:
+        sum_a, sum_b = _numeric_fields(a.result), _numeric_fields(b.result)
+        names = [(name, None) for name in sum_a if name in sum_b]
+    else:
+        raise ValueError(f"cannot diff a {a.manifest.kind} run "
+                         f"({a.run_id}) against a {b.manifest.kind} run "
+                         f"({b.run_id})")
     metrics = tuple(
         metric_delta(name, float(sum_a[name]), float(sum_b[name]),
                      direction=direction, tolerance=tolerance)
-        for name, direction in SUMMARY_METRICS)
+        for name, direction in names)
     events = None
     if a.events_path and b.events_path:
         events = diff_events(summarize(a.events_path),
@@ -259,7 +280,9 @@ def _fmt(value) -> str:
         return "-"
     if isinstance(value, float):
         return f"{value:,.1f}" if abs(value) >= 10 else f"{value:.3g}"
-    return f"{value:,}"
+    if isinstance(value, int) and not isinstance(value, bool):
+        return f"{value:,}"
+    return str(value)  # config values: names, flags, lists
 
 
 def _fmt_pct(delta: MetricDelta) -> str:

@@ -16,13 +16,15 @@ Layout of one archived run::
 
     .repro/runs/<run_id>/
         manifest.json     # written last: presence marks a committed run
-        result.json       # checkpoint-codec RunResult (bit-exact floats)
+        result.json       # checkpoint-codec RunResult (bit-exact floats),
+                          # or the plain result dict of a serve/multigpu run
         metrics.json      # MetricsRegistry snapshot (optional)
         events.jsonl.gz   # structured event log (optional)
 
 Grid sweeps archive each cell as a ``grid-cell`` run sharing a
 ``sweep_id`` (itself content-addressed from the cell set), so a whole
-figure's grid is one queryable family.
+figure's grid is one queryable family.  Every kind of run is filed
+through one writer, :class:`Archiver`.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ import subprocess
 import time
 from dataclasses import dataclass
 
-from ..analysis.checkpoint import decode_result, encode_result
+from ..analysis.checkpoint import _encode, decode_result, encode_result
 from ..sim.results import RunResult
+from .sinks import JsonlSink
 
 #: Archive root when neither the CLI ``--runs`` flag nor the
 #: ``REPRO_RUNS_DIR`` environment variable names one.
@@ -97,8 +100,9 @@ class RunManifest:
     """
 
     run_id: str
-    #: ``"run"`` (a ``repro run``/``trace replay``) or ``"grid-cell"``
-    #: (one cell of an archived figure/sweep grid).
+    #: ``"run"`` (a ``repro run``/``trace replay``), ``"grid-cell"``
+    #: (one cell of an archived figure/sweep grid), ``"serve"`` or
+    #: ``"multigpu"``.
     kind: str
     workload: str
     policy: str
@@ -108,7 +112,8 @@ class RunManifest:
     #: Short hash of :attr:`config` (indexable without the full dict).
     config_hash: str
     #: Full JSON-encoded :class:`~repro.config.SimulationConfig` (for
-    #: ``kind="run"``) or the grid-cell spec (for ``kind="grid-cell"``).
+    #: ``kind="run"``), the grid-cell spec (for ``kind="grid-cell"``),
+    #: or the serve/multigpu spec with its simulation config.
     config: dict
     git: dict | None
     host: dict
@@ -168,7 +173,9 @@ class ArchivedRun:
     """One loaded archive entry: manifest, result, optional artifacts."""
 
     manifest: RunManifest
-    result: RunResult
+    #: A :class:`RunResult` for ``run``/``grid-cell`` runs; the plain
+    #: result dict of a ``serve`` or ``multigpu`` run.
+    result: RunResult | dict
     metrics: dict | None = None
     #: Path of the archived event log, or ``None`` if none was kept.
     events_path: str | None = None
@@ -206,18 +213,16 @@ class RunWriter:
         """Where the run's event log belongs (gzip-compressed JSONL)."""
         return os.path.join(self.dir, "events.jsonl.gz")
 
-    def commit(self, result: RunResult, metrics: dict | None = None) -> str:
-        """Persist the finished run; returns its run id."""
-        return self.commit_dict(encode_result(result), metrics=metrics)
+    def commit(self, result: RunResult | dict,
+               metrics: dict | None = None) -> str:
+        """Persist the finished run; returns its run id.
 
-    def commit_dict(self, result: dict, metrics: dict | None = None) -> str:
-        """Persist a run whose result is already a JSON-safe dict.
-
-        Serve runs (``kind="serve"``) archive their
-        :class:`~repro.serve.session.ServeResult` this way; their
-        ``result.json`` is not checkpoint-codec decodable, so ``repro
-        diff`` does not apply to them (``repro runs`` lists them fine).
+        ``result`` is a :class:`RunResult` (stored with the checkpoint
+        codec) or, for serve and multigpu runs, an already JSON-safe
+        result dict.
         """
+        if isinstance(result, RunResult):
+            result = encode_result(result)
         _write_json(os.path.join(self.dir, "result.json"), result)
         if metrics is not None:
             _write_json(os.path.join(self.dir, "metrics.json"), metrics)
@@ -248,11 +253,6 @@ class RunStore:
     def open_run(self, manifest: RunManifest) -> RunWriter:
         """Open an archive slot for a run that is about to execute."""
         return RunWriter(self, manifest)
-
-    def archive(self, manifest: RunManifest, result: RunResult,
-                metrics: dict | None = None) -> str:
-        """One-shot archive of an already-finished run (grid cells)."""
-        return self.open_run(manifest).commit(result, metrics=metrics)
 
     # -- reading -----------------------------------------------------------
 
@@ -306,7 +306,9 @@ class RunStore:
                   encoding="utf-8") as fh:
             manifest = RunManifest.from_dict(json.load(fh))
         with open(os.path.join(run, "result.json"), encoding="utf-8") as fh:
-            result = decode_result(json.load(fh))
+            result = json.load(fh)
+        if manifest.kind in ("run", "grid-cell"):
+            result = decode_result(result)
         metrics = None
         metrics_path = os.path.join(run, "metrics.json")
         if os.path.exists(metrics_path):
@@ -323,6 +325,52 @@ class RunStore:
         except KeyError:
             return False
         return True
+
+
+class Archiver:
+    """The one archive writer: every ``run``, ``grid-cell``, ``serve``
+    and ``multigpu`` manifest is built by :meth:`open`, with the git SHA
+    and host fingerprint resolved once per archiver and every run it
+    files grouped under its ``sweep_id``."""
+
+    def __init__(self, store: RunStore, sweep_id: str | None = None) -> None:
+        self.store = store
+        self.sweep_id = sweep_id
+        self._git = git_info()
+        self._host = host_info()
+
+    def open(self, kind: str, workload: str, policy: str, scale: str,
+             seed: int, oversubscription: float | None, config: dict,
+             scenario: dict | None = None, name: str | None = None,
+             obs=None) -> RunWriter:
+        """Open the slot of a run about to execute.
+
+        ``scenario``, the resolved scenario the run was compiled from,
+        is embedded in ``config``; ``name`` is its scenario's name.
+        With an :class:`~repro.obs.Observability` handle, the run's
+        event log streams into the slot.
+        """
+        if scenario is not None:
+            config = {**config, "scenario": scenario}
+        writer = self.store.open_run(RunManifest.create(
+            kind=kind, workload=workload, policy=policy, scale=scale,
+            seed=seed, oversubscription=oversubscription, config=config,
+            git=self._git, host=self._host, sweep_id=self.sweep_id,
+            scenario=name))
+        if obs is not None:
+            obs.bus.attach(JsonlSink(writer.events_path))
+        return writer
+
+    def archive_cell(self, cell, result: RunResult,
+                     scenario: dict | None = None,
+                     name: str | None = None) -> str:
+        """File one finished grid cell; returns its run id."""
+        config = _encode(cell)
+        return self.open(
+            "grid-cell", cell.workload, cell.policy.value, cell.scale,
+            cell.seed, cell.oversubscription,
+            config if scenario is None else {"cell": config},
+            scenario, name).commit(result)
 
 
 def derive_sweep_id(cells) -> str:

@@ -1,41 +1,115 @@
-"""Execute resolved scenarios on the existing execution surfaces.
+"""The one route from a compiled scenario variant to a result and an
+archive entry.
 
-The runner is a thin orchestration layer: :func:`run_scenarios` takes
-fully resolved scenario mappings (from :mod:`repro.scenario.loader`),
-expands their sweeps (:mod:`repro.scenario.compile`), and dispatches
-each variant by mode:
+Each in-process mode has one executor -- :func:`execute_run` (one
+simulation, live or trace replay), :func:`execute_serve` and
+:func:`execute_multigpu` -- taking an optional
+:class:`~repro.obs.Observability` handle and an optional
+:class:`~repro.obs.store.Archiver`, and returning the result with its
+archived run id.  The CLI's one-variant commands call them directly and
+:func:`run_scenarios` calls them for every serial variant of a batch,
+so a sweep's variant gives the same result and archive entry as the
+same variant run alone.
 
-* ``run``/``sweep`` variants compile to :class:`GridCell`\\ s.  All
-  grid cells from *every* scenario in the batch are pooled into ONE
-  :func:`~repro.analysis.parallel.run_grid` call -- they share the
-  worker pool, the retry machinery, the checkpoint journal, and the
-  trace cache -- then regrouped per scenario for reporting.  Cell
-  order inside a scenario follows variant declaration order, so a
-  config-driven sweep is bit-identical (same cells, same order) to the
+:func:`run_scenarios` expands resolved scenarios and dispatches each
+variant by mode:
+
+* ``run``/``sweep`` variants compile to :class:`GridCell`\\ s, and the
+  cells of *every* scenario in the batch are pooled into ONE
+  :func:`~repro.analysis.parallel.run_grid` call (one worker pool,
+  retry machinery, checkpoint journal and trace cache), in variant
+  declaration order, so a config-driven sweep is bit-identical to the
   flag-driven equivalent.
-* ``serve`` and ``multigpu`` variants run serially in-process (each is
-  internally heavyweight and stateful; there are rarely many).
+* ``serve`` and ``multigpu`` variants run serially through their
+  executors.  When archiving, each serve variant gets its own
+  observability handle, so its event log and metrics land in its slot.
 
-When archiving is requested, every variant's manifest embeds the fully
-resolved scenario (post-inheritance, post-expansion) under
-``config["scenario"]`` and carries ``manifest.scenario = <name>``, so
-``repro diff`` explains any two archived variants by their scenario
-key deltas and ``repro runs`` shows where a run came from.  The
-runner archives scenario cells itself (the grid runner's own archiver
-is bypassed) precisely so the manifests carry that provenance.
+Archived manifests embed the resolved variant under
+``config["scenario"]`` and name its scenario in ``manifest.scenario``,
+so ``repro diff`` explains two variants by their scenario-key deltas.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
+from ..analysis.checkpoint import encode_config
 from ..analysis.parallel import GridCell, GridOptions, run_grid
 from ..analysis.tables import format_table
 from .compile import (Variant, build_cell, build_multigpu_spec,
-                      build_serve_config, build_sim_config, expand)
+                      build_serve_config, build_sim_config, build_slo_config,
+                      expand)
 from .schema import ScenarioError
 
-__all__ = ["run_scenarios", "ScenarioOutcome", "VariantOutcome"]
+__all__ = ["run_scenarios", "ScenarioOutcome", "VariantOutcome",
+           "execute_run", "execute_serve", "execute_multigpu"]
+
+
+def _commit(writer, result, obs=None) -> str | None:
+    """Commit an open archive slot once its event log is flushed."""
+    if writer is None:
+        return None
+    metrics = None
+    if obs is not None:
+        obs.close()
+        if obs.metrics is not None:
+            metrics = obs.metrics.as_dict()
+    return writer.commit(result, metrics=metrics)
+
+
+def execute_run(cfg, workload, oversubscription: float | None, *,
+                obs=None, archive=None, scale: str = "-",
+                scenario: dict | None = None, name: str | None = None):
+    """Simulate ``workload`` (live or a trace replay) under ``cfg``.
+
+    Returns ``(RunResult, run_id)``; ``run_id`` is ``None`` unless an
+    ``archive`` was given.  ``scenario`` (the resolved scenario of a
+    config-driven run) is embedded in the archived manifest.
+    """
+    from ..sim.simulator import Simulator
+    config = encode_config(cfg)
+    writer = archive and archive.open(
+        "run", workload.name, cfg.policy.policy.value, scale, cfg.seed,
+        oversubscription, config if scenario is None else {"sim": config},
+        scenario, name, obs)
+    result = Simulator(cfg).run(workload, oversubscription=oversubscription,
+                                obs=obs)
+    return result, _commit(writer, result, obs)
+
+
+def execute_serve(serve_cfg, sim_cfg, *, slo=None, obs=None, archive=None,
+                  scenario: dict | None = None, name: str | None = None):
+    """One multi-tenant serve run; returns ``(ServeResult, run_id)``."""
+    from ..serve import ServeSession
+    writer = archive and archive.open(
+        "serve", "+".join(serve_cfg.workload_mix),
+        sim_cfg.policy.policy.value, serve_cfg.scale, serve_cfg.seed, None,
+        {"serve": serve_cfg.as_dict(), "sim": encode_config(sim_cfg)},
+        scenario, name, obs)
+    result = ServeSession(serve_cfg, sim_config=sim_cfg, obs=obs,
+                          scenario=name, slo=slo).run()
+    return result, _commit(writer, result.as_dict(), obs)
+
+
+def execute_multigpu(spec, *, archive=None, scenario: dict | None = None,
+                     name: str | None = None):
+    """One collaborative multi-GPU run (no instrumented path); returns
+    ``(MultiGpuResult, run_id)``."""
+    from ..multigpu import MultiGpuSimulator
+    from ..workloads import make_workload
+    writer = archive and archive.open(
+        "multigpu", spec.workload, spec.config.policy.policy.value,
+        spec.scale, spec.config.seed, spec.oversubscription,
+        {"sim": encode_config(spec.config),
+         "multigpu": {"gpus": spec.gpus, "partition": spec.partition,
+                      "throttle": spec.throttle}}, scenario, name)
+    result = MultiGpuSimulator(
+        spec.config, num_gpus=spec.gpus, throttle=spec.throttle,
+        partition=spec.partition).run(
+            make_workload(spec.workload, spec.scale),
+            oversubscription=spec.oversubscription)
+    return result, _commit(writer, dataclasses.asdict(result))
 
 
 @dataclass(frozen=True)
@@ -77,11 +151,13 @@ class ScenarioOutcome:
                      f"{v.result.peak_live_oversubscription:.2f}x",
                      "-" if v.result.p99_wave_latency_us is None
                      else f"{v.result.p99_wave_latency_us:.1f}",
+                     v.result.slo_violations, v.result.alerts_fired,
                      v.run_id or "-"]
                     for v in self.variants]
             return format_table(
                 ["variant", "arrivals", "done", "shed", "shed rate",
-                 "peak oversub", "p99 us", "run id"], rows, title=title)
+                 "peak oversub", "p99 us", "slo viol", "alerts", "run id"],
+                rows, title=title)
         rows = [[v.label, v.result.num_gpus, v.result.partition,
                  f"{v.result.makespan_cycles:,.0f}",
                  f"{v.result.load_imbalance:.2f}",
@@ -92,81 +168,19 @@ class ScenarioOutcome:
              "imbalance", "thrash", "run id"], rows, title=title)
 
 
-class _ScenarioArchiver:
-    """Archives scenario variants with resolved-config manifests."""
-
-    def __init__(self, store, sweep_id: str | None = None) -> None:
-        from ..obs.store import git_info, host_info
-        self.store = store
-        self.sweep_id = sweep_id
-        self._git = git_info()
-        self._host = host_info()
-
-    def archive_cell(self, name: str, variant: Variant, cell: GridCell,
-                     result) -> str:
-        from ..analysis.checkpoint import _encode
-        from ..obs.store import RunManifest
-        manifest = RunManifest.create(
-            kind="grid-cell", workload=cell.workload,
-            policy=cell.policy.value, scale=cell.scale, seed=cell.seed,
-            oversubscription=cell.oversubscription,
-            config={"cell": _encode(cell), "scenario": variant.data},
-            git=self._git, host=self._host, sweep_id=self.sweep_id,
-            scenario=name)
-        return self.store.archive(manifest, result)
-
-    def archive_serve(self, name: str, variant: Variant, serve_cfg,
-                      sim_cfg, result) -> str:
-        from ..analysis.checkpoint import encode_config
-        from ..obs.store import RunManifest
-        manifest = RunManifest.create(
-            kind="serve", workload="+".join(serve_cfg.workload_mix),
-            policy=sim_cfg.policy.policy.value, scale=serve_cfg.scale,
-            seed=serve_cfg.seed, oversubscription=None,
-            config={"serve": serve_cfg.as_dict(),
-                    "sim": encode_config(sim_cfg),
-                    "scenario": variant.data},
-            git=self._git, host=self._host, sweep_id=self.sweep_id,
-            scenario=name)
-        writer = self.store.open_run(manifest)
-        return writer.commit_dict(result.as_dict())
-
-    def archive_multigpu(self, name: str, variant: Variant, spec,
-                         result) -> str:
-        import dataclasses as _dc
-        from ..analysis.checkpoint import encode_config
-        from ..obs.store import RunManifest
-        manifest = RunManifest.create(
-            kind="multigpu", workload=spec.workload,
-            policy=spec.config.policy.policy.value, scale=spec.scale,
-            seed=spec.config.seed, oversubscription=spec.oversubscription,
-            config={"sim": encode_config(spec.config),
-                    "multigpu": {"gpus": spec.gpus,
-                                 "partition": spec.partition,
-                                 "throttle": spec.throttle},
-                    "scenario": variant.data},
-            git=self._git, host=self._host, sweep_id=self.sweep_id,
-            scenario=name)
-        writer = self.store.open_run(manifest)
-        payload = _dc.asdict(result)
-        payload["per_gpu_events"] = [_dc.asdict(e)
-                                     for e in result.per_gpu_events]
-        payload["per_gpu_timing"] = [_dc.asdict(t)
-                                     for t in result.per_gpu_timing]
-        return writer.commit_dict(payload)
-
-
 def run_scenarios(scenarios: list[dict], jobs: int = 1,
                   options: GridOptions | None = None,
-                  store=None) -> list[ScenarioOutcome]:
+                  store=None, slo=None) -> list[ScenarioOutcome]:
     """Execute resolved scenarios; returns outcomes in input order.
 
     ``options`` configures the pooled grid run (retries, checkpoint,
     trace cache, backend stamping); its ``archive`` store -- or the
     explicit ``store`` argument -- turns on scenario-aware archiving
     for every mode, with the resolved config embedded in each
-    manifest.  The grid runner's own per-cell archiver is bypassed so
-    cells are not archived twice.
+    manifest.  The grid runner's own per-cell archiving is bypassed so
+    cells are not archived twice.  ``slo`` (an
+    :class:`~repro.obs.live.slo.SloConfig`) replaces every serve
+    variant's ``slo:`` section, as ``--slo-config`` does for one run.
     """
     opts = options or GridOptions()
     if store is None and opts.archive is not None:
@@ -187,69 +201,43 @@ def run_scenarios(scenarios: list[dict], jobs: int = 1,
             else:
                 serial_work.append((outcome, variant))
 
-    archiver = None
+    archive = None
     if store is not None:
-        from ..obs.store import derive_sweep_id
+        from ..obs.store import Archiver, derive_sweep_id
         cells = [cell for _, _, cell in grid_work]
-        sweep_id = derive_sweep_id(cells) if cells else None
-        archiver = _ScenarioArchiver(store, sweep_id)
+        archive = Archiver(store, derive_sweep_id(cells) if cells else None)
 
     if grid_work:
-        import dataclasses as _dc
         # Scenario manifests replace the grid runner's plain per-cell
         # archiving (which knows nothing about resolved configs).
-        grid_opts = _dc.replace(opts, archive=None, sweep_id=None)
+        grid_opts = dataclasses.replace(opts, archive=None, sweep_id=None)
         results = run_grid([cell for _, _, cell in grid_work],
                            max_workers=jobs, options=grid_opts)
         for (outcome, variant, cell), result in zip(grid_work, results):
             run_id = None
-            if archiver is not None:
-                run_id = archiver.archive_cell(outcome.name, variant, cell,
-                                               result)
+            if archive is not None:
+                run_id = archive.archive_cell(cell, result, variant.data,
+                                              outcome.name)
             outcome.variants.append(VariantOutcome(
                 label=variant.label, data=variant.data, result=result,
                 run_id=run_id))
 
     for outcome, variant in serial_work:
+        data = variant.data
+        provenance = dict(archive=archive, scenario=data, name=outcome.name)
         if outcome.mode == "serve":
-            _run_serve(outcome, variant, archiver)
+            obs = None
+            if archive is not None:
+                from ..obs import Observability
+                obs = Observability.create(metrics=True)
+            result, run_id = execute_serve(
+                build_serve_config(data), build_sim_config(data),
+                slo=slo or build_slo_config(data), obs=obs, **provenance)
         elif outcome.mode == "multigpu":
-            _run_multigpu(outcome, variant, archiver)
+            result, run_id = execute_multigpu(build_multigpu_spec(data),
+                                              **provenance)
         else:  # pragma: no cover - validate() rejects unknown modes
             raise ScenarioError(f"unknown mode {outcome.mode!r}")
+        outcome.variants.append(VariantOutcome(
+            label=variant.label, data=data, result=result, run_id=run_id))
     return outcomes
-
-
-def _run_serve(outcome: ScenarioOutcome, variant: Variant,
-               archiver) -> None:
-    from ..serve import ServeSession
-    serve_cfg = build_serve_config(variant.data)
-    sim_cfg = build_sim_config(variant.data)
-    result = ServeSession(serve_cfg, sim_config=sim_cfg,
-                          scenario=outcome.name).run()
-    run_id = None
-    if archiver is not None:
-        run_id = archiver.archive_serve(outcome.name, variant, serve_cfg,
-                                        sim_cfg, result)
-    outcome.variants.append(VariantOutcome(
-        label=variant.label, data=variant.data, result=result,
-        run_id=run_id))
-
-
-def _run_multigpu(outcome: ScenarioOutcome, variant: Variant,
-                  archiver) -> None:
-    from ..multigpu import MultiGpuSimulator
-    from ..workloads import make_workload
-    spec = build_multigpu_spec(variant.data)
-    sim = MultiGpuSimulator(spec.config, num_gpus=spec.gpus,
-                            throttle=spec.throttle,
-                            partition=spec.partition)
-    result = sim.run(make_workload(spec.workload, spec.scale),
-                     oversubscription=spec.oversubscription)
-    run_id = None
-    if archiver is not None:
-        run_id = archiver.archive_multigpu(outcome.name, variant, spec,
-                                           result)
-    outcome.variants.append(VariantOutcome(
-        label=variant.label, data=variant.data, result=result,
-        run_id=run_id))

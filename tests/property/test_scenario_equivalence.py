@@ -15,8 +15,9 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.analysis.checkpoint import cell_key, encode_result
 from repro.analysis.parallel import GridCell, GridOptions, run_cell, run_grid
 from repro.analysis.sweeps import oversubscription_sweep
-from repro.cli import _build_config, build_parser
+from repro.cli import _build_config, build_parser, main
 from repro.config import MigrationPolicy
+from repro.obs.store import RunStore
 from repro.scenario import build_cell, build_sim_config, expand, load_directory
 from repro.scenario.schema import flatten
 
@@ -196,3 +197,61 @@ class TestDirectoryEquivalence:
         assert cells == expected
         assert ([encode_result(run_cell(c)) for c in cells]
                 == [encode_result(run_cell(c)) for c in expected])
+
+
+class TestSweptServeEquivalence:
+    """A swept serve variant ≡ the same variant run alone.
+
+    The swept scenario inherits configs/serve_slo.yaml, so each variant
+    must keep its ``slo:`` section, and ``--slo-config`` must replace it
+    as on the one-variant route.  Archive is compared to archive:
+    archiving attaches an observability handle, which turns on the
+    telemetry hub for both routes alike.
+    """
+
+    TENANTS = (8, 10)
+
+    @staticmethod
+    def _results(runs) -> dict:
+        """``{tenants: result.json}`` of every serve run under ``runs``."""
+        import json
+        store = RunStore(runs)
+        results = {}
+        for manifest in store.list():
+            with open(f"{store.run_dir(manifest.run_id)}/result.json") as fh:
+                result = json.load(fh)
+            results[result["config"]["tenants"]] = result
+        return results
+
+    def _compare(self, tmp_path, *extra) -> dict:
+        from pathlib import Path
+        base = Path("configs/serve_slo.yaml").resolve().with_suffix("")
+        swept = tmp_path / "swept_slo.yaml"
+        swept.write_text(f"inherits: {base}\n"
+                         f"sweep:\n  serve.tenants: {list(self.TENANTS)}\n")
+        assert main(["serve", "--config", str(swept), "--archive",
+                     "--runs", str(tmp_path / "batch"), *extra]) == 0
+        batch = self._results(tmp_path / "batch")
+        for tenants in self.TENANTS:
+            runs = tmp_path / f"single-{tenants}"
+            assert main(["serve", "--config", "configs/serve_slo.yaml",
+                         "--tenants", str(tenants), "--archive",
+                         "--runs", str(runs), *extra]) == 0
+            (single,) = self._results(runs).values()
+            assert batch[tenants].pop("scenario") == "swept_slo"
+            assert single.pop("scenario") == "serve_slo"
+            assert batch[tenants] == single
+        return batch
+
+    def test_swept_variants_archive_as_one_variant_runs(self, tmp_path,
+                                                        capsys):
+        batch = self._compare(tmp_path)
+        assert all(r["slo_violations"] > 0 for r in batch.values())
+
+    def test_slo_config_overrides_swept_scenario(self, tmp_path, capsys):
+        slo = tmp_path / "slo.yaml"
+        slo.write_text("max_shed_rate: 0.5\n")
+        batch = self._compare(tmp_path, "--slo-config", str(slo))
+        # The file's lone shed-rate objective replaces serve_slo's
+        # latency targets, so no latency violation is counted.
+        assert all(r["slo_violations"] == 0 for r in batch.values())

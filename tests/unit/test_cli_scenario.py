@@ -161,6 +161,77 @@ serve:
             main(["serve", "--config", run_cfg])
 
 
+#: Per-run obs flags with their arguments (paths land in tmp_path).
+RUN_OBS_FLAGS = [["--events", "ev.jsonl"], ["--flush-events", "1"],
+                 ["--metrics", "m.json"], ["--prom", "m.prom"],
+                 ["--profile"], ["--timeline", "t.json"]]
+
+
+@pytest.fixture
+def swept_serve_cfg(tmp_path):
+    return write(tmp_path / "swept.yaml", """\
+mode: serve
+scale: tiny
+serve:
+  workload_mix: [ra]
+  capacity_mb: 16
+sweep:
+  serve.tenants: [1, 2]
+""")
+
+
+class TestBatchObservability:
+    """A batch has no single run to instrument: per-run obs flags fail
+    loudly and point to --archive, which files each serial variant with
+    its own event log and metrics."""
+
+    @pytest.mark.parametrize("flag", RUN_OBS_FLAGS, ids=lambda f: f[0])
+    def test_run_obs_flag_on_sweep_rejected(self, flag, sweep_cfg, tmp_path,
+                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit, match=f"{flag[0]} .*--archive"):
+            main(["run", "--config", sweep_cfg, *flag])
+        assert not list(tmp_path.glob("*.json*"))
+
+    def test_run_obs_flag_on_multigpu_rejected(self, tmp_path):
+        cfg = write(tmp_path / "mg.yaml", "mode: multigpu\nworkload: ra\n"
+                                          "scale: tiny\nmultigpu: {gpus: 2}\n")
+        with pytest.raises(SystemExit, match="--events .*multigpu.*--archive"):
+            main(["run", "--config", cfg, "--events",
+                  str(tmp_path / "ev.jsonl")])
+
+    def test_run_obs_flag_on_swept_serve_rejected(self, swept_serve_cfg,
+                                                  tmp_path):
+        with pytest.raises(SystemExit, match="--metrics .*2 variant"):
+            main(["serve", "--config", swept_serve_cfg, "--metrics",
+                  str(tmp_path / "m.json")])
+
+    def test_sweep_metrics_still_writes_grid_rollup(self, sweep_cfg,
+                                                    tmp_path, capsys):
+        out = tmp_path / "grid.json"
+        assert main(["sweep", "--config", sweep_cfg, "--metrics",
+                     str(out)]) == 0
+        assert "grid.cells_completed" in out.read_text()
+
+    def test_archive_files_each_serve_variant_with_its_log(
+            self, swept_serve_cfg, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        assert main(["serve", "--config", swept_serve_cfg, "--archive",
+                     "--runs", str(runs)]) == 0
+        store = RunStore(runs)
+        manifests = store.list()
+        assert len(manifests) == 2
+        for manifest in manifests:
+            run = store.load(manifest.run_id)
+            assert run.events_path is not None
+            assert run.metrics is not None
+
+    def test_serve_table_shows_slo_outcome(self, swept_serve_cfg, capsys):
+        assert main(["serve", "--config", swept_serve_cfg]) == 0
+        header = capsys.readouterr().out.splitlines()[1]
+        assert "slo viol" in header and "alerts" in header
+
+
 class TestConfigCommand:
     def test_validate_ok(self, run_cfg, capsys):
         assert main(["config", "validate", run_cfg]) == 0

@@ -117,3 +117,86 @@ class TestDiffRuns:
         assert diff.events is None
         assert "td trajectories and thrash sets unavailable" \
             in render_diff(diff)
+
+
+class TestDiffKinds:
+    """Serve and multigpu archives diff like run archives; runs of
+    different kinds refuse with a message naming both kinds."""
+
+    @staticmethod
+    def _archive_cli(runs, *argv) -> str:
+        from repro.cli import main
+        before = {m.run_id for m in RunStore(runs).list()}
+        assert main([*argv, "--archive", "--runs", str(runs)]) == 0
+        (run_id,) = {m.run_id for m in RunStore(runs).list()} - before
+        return run_id
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("kinds")
+        for gpus in (2, 3):
+            (root / f"mg{gpus}.yaml").write_text(
+                "mode: multigpu\nworkload: ra\nscale: tiny\n"
+                f"multigpu: {{gpus: {gpus}}}\n")
+        serve = ["serve", "--tenants", "2", "--mix", "ra",
+                 "--capacity-mb", "16"]
+        ids = {
+            "serve_a": self._archive_cli(root, *serve, "--seed", "0"),
+            "serve_b": self._archive_cli(root, *serve, "--seed", "1"),
+            "mg_a": self._archive_cli(root, "run", "--config",
+                                      str(root / "mg2.yaml")),
+            "mg_b": self._archive_cli(root, "run", "--config",
+                                      str(root / "mg3.yaml")),
+            "run": self._archive_cli(root, "run", "ra", "--scale", "tiny"),
+        }
+        return root, ids
+
+    def _diff(self, runs, a, b, capsys, *extra):
+        from repro.cli import main
+        root, ids = runs
+        assert main(["diff", ids[a], ids[b], "--runs", str(root),
+                     "--json", *extra]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_serve_pair(self, runs, capsys):
+        diff = self._diff(runs, "serve_a", "serve_b", capsys)
+        metrics = {m["name"]: m for m in diff["metrics"]}
+        assert {"arrivals", "shed_rate", "slo_violations",
+                "driver_totals.evicted_blocks"} <= set(metrics)
+        assert not any(name.startswith("config.") for name in metrics)
+        assert diff["config_changes"]["serve.seed"] == {"a": 0, "b": 1}
+        # both serve runs archived their event logs
+        assert diff["events"] is not None
+
+    def test_multigpu_pair(self, runs, capsys):
+        diff = self._diff(runs, "mg_a", "mg_b", capsys)
+        metrics = {m["name"]: m for m in diff["metrics"]}
+        assert metrics["num_gpus"]["a"] == 2 and metrics["num_gpus"]["b"] == 3
+        assert "makespan_cycles" in metrics
+        assert diff["config_changes"]["multigpu.gpus"] == {"a": 2, "b": 3}
+
+    def test_mixed_kinds_name_both(self, runs):
+        from repro.cli import main
+        root, ids = runs
+        for a, b, kinds in (("serve_a", "mg_a", "serve .*multigpu"),
+                            ("run", "serve_b", "run .*serve")):
+            with pytest.raises(SystemExit, match=f"repro diff: .*{kinds}"):
+                main(["diff", ids[a], ids[b], "--runs", str(root)])
+
+    def test_string_config_changes_render(self, tmp_path):
+        """A policy change (Baseline vs Adaptive) is a string config
+        delta; the text report renders it."""
+        store = RunStore(tmp_path)
+        ids = []
+        for policy in (MigrationPolicy.DISABLED, MigrationPolicy.ADAPTIVE):
+            cfg = SimulationConfig().with_policy(policy)
+            manifest = RunManifest.create(
+                kind="run", workload="ra", policy=policy.value,
+                scale="tiny", seed=0, oversubscription=1.5,
+                config=encode_config(cfg))
+            result = Simulator(cfg).run(make_workload("ra", scale="tiny"),
+                                        oversubscription=1.5)
+            ids.append(store.open_run(manifest).commit(result))
+        text = render_diff(diff_runs(store.load(ids[0]),
+                                     store.load(ids[1])))
+        assert "disabled" in text and "adaptive" in text

@@ -73,8 +73,8 @@ class TestRunStore:
         cfg, result = run_result
         store = RunStore(tmp_path)
         manifest = _manifest(cfg)
-        run_id = store.archive(manifest, result,
-                               metrics={"x": {"value": 1}})
+        run_id = store.open_run(manifest).commit(
+            result, metrics={"x": {"value": 1}})
         loaded = store.load(run_id)
         assert loaded.manifest == manifest
         assert loaded.metrics == {"x": {"value": 1}}
@@ -86,8 +86,8 @@ class TestRunStore:
     def test_rearchive_is_idempotent(self, run_result, tmp_path):
         cfg, result = run_result
         store = RunStore(tmp_path)
-        a = store.archive(_manifest(cfg), result, metrics={"x": 1})
-        b = store.archive(_manifest(cfg), result)
+        a = store.open_run(_manifest(cfg)).commit(result, metrics={"x": 1})
+        b = store.open_run(_manifest(cfg)).commit(result)
         assert a == b
         assert len(store.list()) == 1
         # the second archive must not inherit the first one's metrics
@@ -96,7 +96,7 @@ class TestRunStore:
     def test_prefix_resolution(self, run_result, tmp_path):
         cfg, result = run_result
         store = RunStore(tmp_path)
-        run_id = store.archive(_manifest(cfg), result)
+        run_id = store.open_run(_manifest(cfg)).commit(result)
         assert store.resolve(run_id[:6]) == run_id
         assert run_id[:4] in store
         with pytest.raises(KeyError, match="no archived run"):
@@ -105,8 +105,8 @@ class TestRunStore:
     def test_ambiguous_prefix_raises(self, run_result, tmp_path):
         cfg, result = run_result
         store = RunStore(tmp_path)
-        store.archive(_manifest(cfg), result)
-        store.archive(_manifest(cfg, seed=4), result)
+        store.open_run(_manifest(cfg)).commit(result)
+        store.open_run(_manifest(cfg, seed=4)).commit(result)
         with pytest.raises(KeyError, match="ambiguous"):
             store.resolve("")
 
